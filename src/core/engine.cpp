@@ -5,6 +5,7 @@
 #include <cassert>
 #include <chrono>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "graph/reorder.hpp"
@@ -208,8 +209,7 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
       }
     }
     if (want_field) {
-      field_ = std::make_unique<SignalField>(graph_, automaton_.state_count(),
-                                             initial);
+      field_ = build_field();
       // Only the heuristic's shakiest bet monitors itself: a kAuto field on
       // a mask-kernel automaton wins or loses purely on the (unknowable at
       // construction) transition rate, so it bails out mid-run if patching
@@ -264,8 +264,7 @@ graph::TopologyDelta Engine::apply_topology_delta(
       // a regime construction routes to the sparse multiset. Recreate the
       // field so it re-routes; a from-scratch build here is the rare safety
       // valve, not the churn fast path.
-      field_ = std::make_unique<SignalField>(graph_, automaton_.state_count(),
-                                             store_.view());
+      field_ = build_field();
       field_stale_ = false;
     } else if (!field_stale_) {
       for (const auto& [u, v] : applied.remove) {
@@ -336,17 +335,18 @@ Signal Engine::signal_of(NodeId v) const {
   return Signal::from_states(std::move(sensed));
 }
 
-const Configuration& Engine::user_view() const {
+void Engine::rebuild_config_view() const {
   const NodeId n = graph_.num_nodes();
-  user_view_.resize(n);
-  if (store_.narrow()) {
-    const std::uint8_t* c = store_.bytes_data();
-    for (NodeId u = 0; u < n; ++u) user_view_[u] = c[graph_.to_internal(u)];
-  } else {
-    const StateId* c = store_.wide_data();
-    for (NodeId u = 0; u < n; ++u) user_view_[u] = c[graph_.to_internal(u)];
-  }
-  return user_view_;
+  config_view_.resize(n);
+  const std::span<const NodeId> to_internal = graph_.permutation();
+  store_.visit([&](const auto* c) {
+    if (to_internal.empty()) {
+      std::copy(c, c + n, config_view_.begin());
+    } else {
+      for (NodeId u = 0; u < n; ++u) config_view_[u] = c[to_internal[u]];
+    }
+  });
+  config_view_valid_ = true;
 }
 
 std::uint64_t Engine::mask_current(NodeId v) const {
@@ -406,10 +406,7 @@ void Engine::step_synchronous() {
     step_synchronous_serial(store_.wide_data(), next_store_.wide_data());
   }
   store_.swap(next_store_);
-  // Both buffers were written through raw pointers (and the swap moves any
-  // cached view with its buffer): re-materialize lazily on the next read.
-  store_.invalidate_view();
-  next_store_.invalidate_view();
+  config_view_valid_ = false;
   ++time_;
   ++rounds_;
   last_boundary_time_ = time_;
@@ -591,8 +588,7 @@ void Engine::step_parallel_synchronous() {
     }
   }
   store_.swap(next_store_);
-  store_.invalidate_view();
-  next_store_.invalidate_view();
+  config_view_valid_ = false;
   ++time_;
   ++rounds_;
   last_boundary_time_ = time_;
@@ -704,8 +700,7 @@ void Engine::flush_overlap() {
   rounds_ += depth;  // every synchronous step closes exactly one round
   last_boundary_time_ = time_;
   if ((depth & 1) != 0) store_.swap(next_store_);
-  store_.invalidate_view();
-  next_store_.invalidate_view();
+  config_view_valid_ = false;
   maybe_promote_acts();
   // pending_ stays all-true / pending_count_ stays n, as in every
   // synchronous step: each drained step opened and closed one round.
@@ -766,8 +761,7 @@ void Engine::async_phase1(const T* cfg) {
     // exists for: an O(1) presence-mask lookup (or O(distinct) span) per
     // activation instead of an O(deg) neighborhood rescan; the matching
     // per-transition patches run in the apply phase below. (The lazy field
-    // rebuild reads the wide view, which never relocates the raw buffer
-    // `cfg` points into.)
+    // rebuild only reads the raw buffer `cfg` points into.)
     ensure_field_fresh();
     field_senses_ += active_.size();
     if (mask_kernel_ && !listener_ && field_->mask_exact()) {
@@ -864,7 +858,7 @@ void Engine::sparse_apply_task(void* ctx, const Shard& shard,
   std::uint64_t newly_done = 0;
   for (NodeId i = shard.begin; i < shard.end; ++i) {
     const auto [v, q] = e.updates_.get(i);
-    e.store_.set_raw(v, q);
+    e.store_.set(v, q);
     e.bump_act(v, ws.act_saturated);
     if (e.pending_[v] != 0) {
       e.pending_[v] = 0;
@@ -941,7 +935,7 @@ void Engine::step_sparse_parallel() {
   // Serial merge, shard-index order — the deterministic ordering of every
   // cross-shard effect.
   const auto apply_from = std::chrono::steady_clock::now();
-  store_.invalidate_view();
+  config_view_valid_ = false;
   std::uint64_t newly_done = 0;
   for (unsigned s = 0; s < shards; ++s) {
     const ShardWorkspace& ws = shard_ws_[s];
@@ -1009,6 +1003,7 @@ void Engine::apply_updates_and_close_rounds() {
       ++field_patches_;
     }
     store_.set(v, q);
+    patch_config_view(v, q);
     bump_act(v, act_saturated_);
     if (pending_[v] != 0) {
       pending_[v] = 0;
@@ -1088,6 +1083,7 @@ void Engine::inject_configuration(Configuration config) {
     config = std::move(permuted);
   }
   store_.reset(config, store_.narrow());
+  config_view_valid_ = false;
   // An arbitrary overwrite invalidates the delta-maintained field; it is
   // rebuilt lazily at the next field sense.
   field_stale_ = field_ != nullptr;
@@ -1106,6 +1102,7 @@ void Engine::inject_state(NodeId v, StateId q) {
     field_->apply_transition(i, cur, q);
   }
   store_.set(i, q);
+  patch_config_view(i, q);
 }
 
 std::size_t Engine::dynamic_memory_usage() const {
@@ -1116,7 +1113,7 @@ std::size_t Engine::dynamic_memory_usage() const {
       util::DynamicUsage(pending_) + util::DynamicUsage(act32_) +
       util::DynamicUsage(act64_) + util::DynamicUsage(active_) +
       util::DynamicUsage(sense_buffer_) + util::DynamicUsage(field_scratch_) +
-      util::DynamicUsage(user_view_) +
+      util::DynamicUsage(config_view_) +
       util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_) +
       util::DynamicUsage(sync_frontiers_) + util::DynamicUsage(prev_phase1_) +
       util::DynamicUsage(cur_phase1_) + util::DynamicUsage(merge_deps_);
@@ -1179,6 +1176,7 @@ void Engine::save_state(util::BinaryWriter& w) const {
 
 void Engine::load_state(util::BinaryReader& r, std::uint32_t version) {
   flush_overlap();
+  config_view_valid_ = false;
   const NodeId n = graph_.num_nodes();
   seed_ = r.u64();
   time_ = r.u64();

@@ -298,18 +298,19 @@ inline constexpr double kSignalFieldMaskKernelMinAvgDegree = 32.0;
 inline constexpr std::uint64_t kSignalFieldAdaptiveWindow = 8192;
 inline constexpr std::uint64_t kSignalFieldPatchCostFactor = 3;
 
-/// One engine configuration buffer, stored byte-per-node when the automaton's
-/// state space fits a byte (|Q| <= 256 — every shipped algorithm except the
-/// synchronizer's product spaces) and as wide StateIds otherwise. The narrow
-/// mode is the double buffers' share of the million-node footprint story: 2
-/// bytes per node across both buffers instead of 16. Hot kernels read/write
-/// the raw arrays (templated on the element type); the wide `view()` is
-/// materialized lazily for accessors, serialization, and field rebuilds.
+/// One engine configuration buffer in internal (layout) node order, stored
+/// byte-per-node when the automaton's state space fits a byte (|Q| <= 256 —
+/// every shipped algorithm except the synchronizer's product spaces) and as
+/// wide StateIds otherwise. The narrow mode is the double buffers' share of
+/// the million-node footprint story: 2 bytes per node across both buffers
+/// instead of 16. The store holds the raw array and nothing derived from it:
+/// kernels read and write it through visit() / the raw pointers (templated on
+/// the element type), and the one user-order configuration the public API
+/// hands out is the Engine's config view, not a copy kept here.
 class ConfigStore {
  public:
   void reset(const Configuration& c, bool narrow) {
     narrow_ = narrow;
-    size_ = c.size();
     if (narrow_) {
       // The byte buffer carries simd::kByteStorePadding tail bytes beyond
       // the logical size: the AVX2 gather kernels read 32-bit lanes at byte
@@ -325,37 +326,26 @@ class ConfigStore {
       bytes_.clear();
       bytes_.shrink_to_fit();
     }
-    view_dirty_ = true;
   }
 
   void reset_zero(std::size_t n, bool narrow) {
     narrow_ = narrow;
-    size_ = n;
     if (narrow_) {
       bytes_.assign(n + simd::kByteStorePadding, 0);
     } else {
       wide_.assign(n, 0);
     }
-    view_dirty_ = true;
   }
 
   [[nodiscard]] bool narrow() const { return narrow_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
 
   [[nodiscard]] StateId get(NodeId v) const {
     return narrow_ ? bytes_[v] : wide_[v];
   }
 
-  /// Serial element write (marks the lazy view dirty).
+  /// Element write. Touches no shared state, so parallel apply tasks may
+  /// write disjoint elements concurrently.
   void set(NodeId v, StateId q) {
-    set_raw(v, q);
-    view_dirty_ = true;
-  }
-
-  /// Raw element write for parallel apply tasks: touches no shared flag
-  /// (concurrent view_dirty_ writes would be a data race); the kernel calls
-  /// invalidate_view() once, serially, after the graph drains.
-  void set_raw(NodeId v, StateId q) {
     if (narrow_) {
       bytes_[v] = static_cast<std::uint8_t>(q);
     } else {
@@ -368,43 +358,33 @@ class ConfigStore {
   [[nodiscard]] StateId* wide_data() { return wide_.data(); }
   [[nodiscard]] const StateId* wide_data() const { return wide_.data(); }
 
-  /// Kernels that wrote through raw pointers must call this at their serial
-  /// tail so the next view() re-materializes.
-  void invalidate_view() { view_dirty_ = true; }
+  /// The wide buffer itself (wide mode only) — what Engine::config() returns
+  /// on an identity layout, with no copy.
+  [[nodiscard]] const Configuration& wide() const { return wide_; }
 
-  /// The configuration as wide StateIds. Wide mode returns the buffer
-  /// itself; narrow mode materializes (and caches) an owned wide copy.
-  [[nodiscard]] const Configuration& view() const {
-    if (!narrow_) return wide_;
-    if (view_dirty_) {
-      view_.resize(size_);
-      for (std::size_t i = 0; i < size_; ++i) view_[i] = bytes_[i];
-      view_dirty_ = false;
-    }
-    return view_;
+  /// Calls f with the raw buffer as `const std::uint8_t*` (narrow) or
+  /// `const StateId*` (wide): the element-width branch taken once, outside
+  /// the caller's loop.
+  template <typename F>
+  decltype(auto) visit(F&& f) const {
+    if (narrow_) return f(bytes_.data());
+    return f(wide_.data());
   }
 
   void swap(ConfigStore& o) {
     std::swap(narrow_, o.narrow_);
-    std::swap(size_, o.size_);
     bytes_.swap(o.bytes_);
     wide_.swap(o.wide_);
-    view_.swap(o.view_);
-    std::swap(view_dirty_, o.view_dirty_);
   }
 
   [[nodiscard]] std::size_t dynamic_memory_usage() const {
-    return util::DynamicUsage(bytes_) + util::DynamicUsage(wide_) +
-           util::DynamicUsage(view_);
+    return util::DynamicUsage(bytes_) + util::DynamicUsage(wide_);
   }
 
  private:
   bool narrow_ = false;
-  std::size_t size_ = 0;
-  std::vector<std::uint8_t> bytes_;  // size_ + simd::kByteStorePadding bytes
+  std::vector<std::uint8_t> bytes_;  // n + simd::kByteStorePadding bytes
   Configuration wide_;
-  mutable Configuration view_;
-  mutable bool view_dirty_ = true;
 };
 
 /// The asynchronous kernels' pending-update slots, packed to 8 bytes per
@@ -509,19 +489,28 @@ class Engine {
   void step();
 
   /// Runs until pred(config) holds (checked after every step and on the
-  /// initial configuration) or until `max_rounds` rounds complete.
+  /// initial configuration) or until `max_rounds` rounds complete. The
+  /// config() read between steps costs O(|A_t|) after a serial step (the
+  /// view is patched as the step applies) and O(n) after a synchronous or
+  /// sharded one (the view is rebuilt once) — on top of whatever pred costs.
   RunOutcome run_until(const std::function<bool(const Configuration&)>& pred,
                        std::uint64_t max_rounds);
 
   /// Runs until `rounds` rounds have completed.
   void run_rounds(std::uint64_t rounds);
 
-  /// The current configuration, indexed by USER node ids (on a reordered
-  /// graph this materializes a translated copy; the span stays valid until
-  /// the next engine call).
+  /// The current configuration, indexed by USER node ids; the reference
+  /// stays valid until the next engine call. A wide store (|Q| > 256) on an
+  /// identity layout is returned as-is. Otherwise this is the engine's one
+  /// cached user-order view: serial writes patch it in place, so after a
+  /// serial step the call is O(1); raw writes (synchronous and sharded
+  /// steps, whole-configuration injections) only mark it stale, and the
+  /// next call rebuilds it in one O(n) pass.
   [[nodiscard]] const Configuration& config() const {
     ensure_flushed();
-    return graph_.reordered() ? user_view() : store_.view();
+    if (!store_.narrow() && !graph_.reordered()) return store_.wide();
+    if (!config_view_valid_) rebuild_config_view();
+    return config_view_;
   }
   [[nodiscard]] StateId state_of(NodeId v) const {
     ensure_flushed();
@@ -749,9 +738,16 @@ class Engine {
   /// injection invalidated it — called before every field sense.
   void ensure_field_fresh() {
     if (field_stale_) {
-      field_->rebuild(store_.view());
+      store_.visit([&](const auto* c) { field_->rebuild(c); });
       field_stale_ = false;
     }
+  }
+
+  /// A fresh signal field over the current store (raw array, no wide copy).
+  [[nodiscard]] std::unique_ptr<SignalField> build_field() const {
+    return store_.visit([&](const auto* c) {
+      return std::make_unique<SignalField>(graph_, automaton_.state_count(), c);
+    });
   }
 
   /// True when the field exists and reflects the current configuration
@@ -848,11 +844,16 @@ class Engine {
     return ws.scratch_rng;
   }
 
-  /// The current configuration translated back to USER id order (reordered
-  /// graphs only — config() routes here). Materialized into user_view_ on
-  /// every call: the store has no cheap way to know whether it changed since
-  /// the last translation, and the accessor is off the hot path.
-  [[nodiscard]] const Configuration& user_view() const;
+  /// Refills config_view_ from the store in user id order (one O(n) pass)
+  /// and marks it valid.
+  void rebuild_config_view() const;
+
+  /// Keeps a valid config view current across one serial store write of
+  /// internal node v — the patch half of the view's patch-or-invalidate
+  /// rule (see config_view_).
+  void patch_config_view(NodeId v, StateId q) {
+    if (config_view_valid_) config_view_[graph_.to_user(v)] = q;
+  }
 
   /// Maps a topology delta across the id boundary: user->internal for
   /// deltas entering apply_topology_delta, internal->user for the effective
@@ -1010,9 +1011,18 @@ class Engine {
   std::vector<NodeId> active_;
   UpdateList updates_;
   std::vector<StateId> sense_buffer_;
-  // config()'s user-id-order translation of the store (reordered graphs
-  // only; empty otherwise).
-  mutable Configuration user_view_;
+
+  // config()'s user-id-order copy of the store (every store except a wide
+  // one on an identity layout, which config() returns directly). It follows
+  // the signal field's patch-or-invalidate rule: serial writes
+  // (apply_updates_and_close_rounds, inject_state) patch the one changed
+  // entry while it is valid; raw writes (the synchronous swap, serial,
+  // sharded and overlapped; the sparse parallel apply;
+  // inject_configuration; snapshot restore) only clear the flag, and the
+  // next config() rebuilds it. The buffer keeps its capacity across
+  // invalidations, so at most one n-entry view is ever allocated.
+  mutable Configuration config_view_;
+  mutable bool config_view_valid_ = false;
 };
 
 /// Convenience: uniformly random initial configuration over the automaton's

@@ -10,8 +10,9 @@
 
 namespace ssau::core {
 
+template <typename T>
 SignalField::SignalField(const graph::Graph& g, StateId state_count,
-                         const Configuration& initial)
+                         const T* initial)
     : graph_(g), n_(g.num_nodes()), state_count_(state_count) {
   assert(state_count_ >= 1);
   // Dense only when the counter table stays small — in |Q| AND in total
@@ -91,8 +92,8 @@ void SignalField::apply_edge_removal(NodeId u, NodeId v, StateId qu,
   drop(v, qu);
 }
 
-void SignalField::rebuild(const Configuration& c) {
-  assert(c.size() == n_);
+template <typename T>
+void SignalField::rebuild(const T* c) {
   // Full-graph gather: prefetch the state loads a fixed distance down each
   // adjacency span (the ids are sequential; only c[u] misses).
   constexpr unsigned kPf = simd::kDefaultPrefetchDistance;
@@ -103,7 +104,7 @@ void SignalField::rebuild(const Configuration& c) {
       bump(v, c[v]);
       const std::span<const NodeId> nbrs = graph_.neighbors(v);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (i + kPf < nbrs.size()) simd::prefetch(c.data() + nbrs[i + kPf]);
+        if (i + kPf < nbrs.size()) simd::prefetch(c + nbrs[i + kPf]);
         bump(v, c[nbrs[i]]);
       }
     }
@@ -115,7 +116,7 @@ void SignalField::rebuild(const Configuration& c) {
     sensed.push_back(c[v]);
     const std::span<const NodeId> nbrs = graph_.neighbors(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (i + kPf < nbrs.size()) simd::prefetch(c.data() + nbrs[i + kPf]);
+      if (i + kPf < nbrs.size()) simd::prefetch(c + nbrs[i + kPf]);
       sensed.push_back(c[nbrs[i]]);
     }
     std::sort(sensed.begin(), sensed.end());
@@ -133,6 +134,13 @@ void SignalField::rebuild(const Configuration& c) {
     }
   }
 }
+
+template SignalField::SignalField(const graph::Graph&, StateId,
+                                  const std::uint8_t*);
+template SignalField::SignalField(const graph::Graph&, StateId,
+                                  const StateId*);
+template void SignalField::rebuild(const std::uint8_t*);
+template void SignalField::rebuild(const StateId*);
 
 void SignalField::apply_transitions(const Transition* transitions,
                                     std::size_t count) {

@@ -36,6 +36,7 @@
 // field-sensed trajectories are bit-identical to rescan-sensed ones.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -73,13 +74,24 @@ class SignalField {
 
   /// Builds the field for `g` over a state space of size `state_count` and
   /// initializes it from `initial` (one O(n + m) pass). The graph must
-  /// outlive the field.
+  /// outlive the field. `initial` is n states in g's node order, read as the
+  /// engine's raw byte or wide store array (T = std::uint8_t or StateId,
+  /// like the gather kernels), so no wide copy of a byte store is needed.
+  template <typename T>
+  SignalField(const graph::Graph& g, StateId state_count, const T* initial);
   SignalField(const graph::Graph& g, StateId state_count,
-              const Configuration& initial);
+              const Configuration& initial)
+      : SignalField(g, state_count, initial.data()) {}
 
-  /// Re-initializes every counter and presence bit from `c` in one pass —
-  /// the recovery path after an arbitrary configuration overwrite.
-  void rebuild(const Configuration& c);
+  /// Re-initializes every counter and presence bit from the n states at `c`
+  /// in one pass — the recovery path after an arbitrary configuration
+  /// overwrite. Same element types as the constructor.
+  template <typename T>
+  void rebuild(const T* c);
+  void rebuild(const Configuration& c) {
+    assert(c.size() == n_);
+    rebuild(c.data());
+  }
 
   /// Patches the field for one applied transition of node v from state
   /// `from` to state `to`: only the rows of v and v's neighbors are touched

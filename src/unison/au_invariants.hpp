@@ -6,6 +6,15 @@
 // property tests replay Observations 2.1–2.9 and Lemmas 2.10/2.16 against
 // random executions; the monitors use "graph good" as the stabilization
 // criterion (Lem 2.10/2.11/2.18 establish that good ⟹ stabilized).
+//
+// Id spaces. Every predicate that takes a graph reads `c` in USER id order —
+// the order Engine::config() reports — and takes and returns node ids as
+// user ids too, whatever layout `g` has. On the engine's own graph after a
+// locality reorder (graph/reorder.hpp) the graph walks its layout ids and
+// each read goes through g.to_user; on an identity layout the two coincide
+// and the loops read c[v] directly. So `graph_good(ts, engine.graph(),
+// engine.config())` is correct on a reordered engine. The graph-free helpers
+// (levels_of, edge_protected) simply index `c`.
 #pragma once
 
 #include <vector>
@@ -43,6 +52,8 @@ namespace ssau::unison {
 
 [[nodiscard]] bool graph_protected(const TurnSystem& ts, const graph::Graph& g,
                                    const core::Configuration& c);
+/// No faulty turn anywhere and every edge protected — the stabilization
+/// criterion. Throws std::invalid_argument on a state outside Q.
 [[nodiscard]] bool graph_good(const TurnSystem& ts, const graph::Graph& g,
                               const core::Configuration& c);
 [[nodiscard]] bool graph_out_protected(const TurnSystem& ts,

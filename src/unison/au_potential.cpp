@@ -8,7 +8,9 @@ PotentialSnapshot measure_potential(const TurnSystem& ts,
                                     const graph::Graph& g,
                                     const core::Configuration& c) {
   PotentialSnapshot snap;
-  for (const auto& [u, v] : g.edges()) {
+  // edges() is in g's layout ids; c and the node predicates speak user ids.
+  for (const auto& [iu, iv] : g.edges()) {
+    const core::NodeId u = g.to_user(iu), v = g.to_user(iv);
     if (!edge_protected(ts, c, u, v)) {
       ++snap.non_protected_edges;
       const int gap =

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -12,6 +14,7 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
+#include "graph/reorder.hpp"
 #include "sched/scheduler.hpp"
 #include "unison/alg_au.hpp"
 
@@ -164,6 +167,157 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("cycle8", "path6", "grid3x3", "clique5", "random12"),
         ::testing::Values("synchronous", "uniform-single", "rotating-single"),
         ::testing::Values("random", "tear", "all-faulty")));
+
+// --- graph_good against its reference composition ---------------------------
+
+/// What graph_good is defined as: no faulty turn (TurnSystem::is_faulty),
+/// then every edge protected (graph_protected, which goes through
+/// TurnSystem::level_of / adjacent).
+bool reference_good(const TurnSystem& ts, const graph::Graph& g,
+                    const core::Configuration& c) {
+  for (const core::StateId q : c) {
+    if (ts.is_faulty(q)) return false;
+  }
+  return graph_protected(ts, g, c);
+}
+
+core::StateId at_clock(const TurnSystem& ts, int kappa) {
+  return ts.able_id(ts.level_at_clock(kappa));
+}
+
+/// Every node's clock drawn from {base, base + 1}: all edges protected.
+core::Configuration window_config(const TurnSystem& ts, core::NodeId n,
+                                  util::Rng& rng) {
+  const int base = static_cast<int>(rng.below(2 * ts.k()));
+  core::Configuration c(n);
+  for (auto& q : c) q = at_clock(ts, base + static_cast<int>(rng.below(2)));
+  return c;
+}
+
+/// graph_good(g, c) must equal the reference, both on g and on a randomly
+/// relabelled copy of g (user-ordered c, layout-walking graph).
+void expect_matches_reference(const TurnSystem& ts, const graph::Graph& g,
+                              const graph::Graph& scrambled,
+                              const core::Configuration& c) {
+  const bool want = reference_good(ts, g, c);
+  ASSERT_EQ(graph_good(ts, g, c), want);
+  ASSERT_EQ(graph_good(ts, scrambled, c), want);
+  ASSERT_EQ(reference_good(ts, scrambled, c), want);
+}
+
+graph::Graph scramble(const graph::Graph& g, util::Rng& rng) {
+  std::vector<core::NodeId> perm(g.num_nodes());
+  std::iota(perm.begin(), perm.end(), core::NodeId{0});
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.below(i)]);
+  }
+  return graph::reorder_graph(g, perm);
+}
+
+TEST(GraphGood, MatchesReferenceComposition) {
+  for (int d = 1; d <= 8; ++d) {
+    SCOPED_TRACE("D=" + std::to_string(d));
+    const TurnSystem ts(d);
+    const int m = 2 * ts.k();
+    util::Rng rng(static_cast<std::uint64_t>(d) * 7717);
+    std::size_t good = 0, bad = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      const graph::Graph g = graph::random_connected(24, 0.2, rng);
+      const graph::Graph scrambled = scramble(g, rng);
+      const core::NodeId n = g.num_nodes();
+
+      // Random mixed able/faulty configurations (almost always a faulty
+      // turn, so the first loop decides).
+      core::Configuration c(n);
+      for (auto& q : c) q = rng.below(ts.state_count());
+      expect_matches_reference(ts, g, scrambled, c);
+
+      // All able, arbitrary clocks: the edge loop decides.
+      for (auto& q : c) q = rng.below(static_cast<core::StateId>(m));
+      expect_matches_reference(ts, g, scrambled, c);
+
+      // Protected everywhere; then one node moved to a random able clock,
+      // which breaks exactly its far edges (or none).
+      c = window_config(ts, n, rng);
+      expect_matches_reference(ts, g, scrambled, c);
+      good += graph_good(ts, g, c) ? 1 : 0;
+      c[rng.below(n)] = rng.below(static_cast<core::StateId>(m));
+      expect_matches_reference(ts, g, scrambled, c);
+
+      // The same with one faulty turn: never good.
+      c = window_config(ts, n, rng);
+      c[rng.below(n)] = static_cast<core::StateId>(m) +
+                        rng.below(ts.state_count() - static_cast<core::StateId>(m));
+      expect_matches_reference(ts, g, scrambled, c);
+      bad += graph_good(ts, g, c) ? 0 : 1;
+    }
+    EXPECT_EQ(good, 40u);
+    EXPECT_EQ(bad, 40u);
+  }
+}
+
+TEST(GraphGood, GoodExceptOneEdge) {
+  // A path's leaf has one edge: moving it `gap` clocks away from its
+  // neighbour unprotects exactly that edge. Gap 1 (either way) keeps it.
+  for (int d = 1; d <= 8; ++d) {
+    SCOPED_TRACE("D=" + std::to_string(d));
+    const TurnSystem ts(d);
+    const int m = 2 * ts.k();
+    const graph::Graph g = graph::path(12);
+    util::Rng rng(static_cast<std::uint64_t>(d) + 5);
+    const graph::Graph scrambled = scramble(g, rng);
+    for (int base = 0; base < m; ++base) {
+      core::Configuration c(12, at_clock(ts, base));
+      for (int gap = 0; gap < m; ++gap) {
+        c[11] = at_clock(ts, base + gap);
+        expect_matches_reference(ts, g, scrambled, c);
+        const bool adjacent = gap <= 1 || gap == m - 1;
+        ASSERT_EQ(graph_good(ts, g, c), adjacent) << "base " << base << " gap " << gap;
+      }
+    }
+  }
+}
+
+TEST(GraphGood, WrapEdgeBetweenLastAndFirstClock) {
+  for (int d = 1; d <= 8; ++d) {
+    SCOPED_TRACE("D=" + std::to_string(d));
+    const TurnSystem ts(d);
+    const int m = 2 * ts.k();
+    const graph::Graph g = graph::cycle(10);
+    util::Rng rng(static_cast<std::uint64_t>(d) + 17);
+    const graph::Graph scrambled = scramble(g, rng);
+    // Alternating clocks 2k-1 and 0 (levels -1 and 1): every edge wraps.
+    core::Configuration c(10);
+    for (core::NodeId v = 0; v < 10; ++v) {
+      c[v] = at_clock(ts, v % 2 == 0 ? m - 1 : 0);
+    }
+    expect_matches_reference(ts, g, scrambled, c);
+    EXPECT_TRUE(graph_good(ts, g, c));
+    // One step further either side of the seam is distance 2.
+    c[1] = at_clock(ts, 1);
+    expect_matches_reference(ts, g, scrambled, c);
+    EXPECT_FALSE(graph_good(ts, g, c));
+    c[1] = at_clock(ts, 0);
+    c[0] = at_clock(ts, m - 2);
+    expect_matches_reference(ts, g, scrambled, c);
+    EXPECT_FALSE(graph_good(ts, g, c));
+  }
+}
+
+TEST(GraphGood, OutOfRangeStateThrows) {
+  for (int d = 1; d <= 8; ++d) {
+    const TurnSystem ts(d);
+    const graph::Graph g = graph::cycle(6);
+    util::Rng rng(static_cast<std::uint64_t>(d));
+    for (const core::StateId bad : {ts.state_count(), ts.state_count() + 1,
+                                    ts.state_count() + 1000}) {
+      core::Configuration c = window_config(ts, 6, rng);
+      c[3] = bad;
+      EXPECT_THROW((void)reference_good(ts, g, c), std::invalid_argument);
+      EXPECT_THROW((void)graph_good(ts, g, c), std::invalid_argument);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ssau::unison

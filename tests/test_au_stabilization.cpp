@@ -13,6 +13,7 @@
 #include "unison/alg_au.hpp"
 #include "unison/au_invariants.hpp"
 #include "unison/au_monitor.hpp"
+#include "unison/au_potential.hpp"
 
 namespace ssau::unison {
 namespace {
@@ -159,6 +160,111 @@ TEST(AuStabilization, TwoNodeTearHealsByGapClosing) {
   const auto outcome = run_to_good(engine, alg, round_budget(alg.turns().k()));
   ASSERT_TRUE(outcome.reached);
   EXPECT_TRUE(graph_good(alg.turns(), g, engine.config()));
+}
+
+// The AU helpers read Engine::config() (user ids) against Engine::graph(),
+// which on a reordered engine walks layout ids. At 70,000 nodes
+// ReorderMode::kAuto relabels the graph, so run_to_good and
+// verify_post_stabilization must report exactly what the identity layout
+// reports: AlgAU is deterministic and the synchronous daemon activates every
+// node, so the reordered run is the same run relabelled. Two engine threads
+// keep the 10M node-steps per run short.
+TEST(AuStabilization, RunToGoodAgreesWithAndWithoutReorder) {
+  constexpr core::NodeId kN = 70'000;
+  ASSERT_GE(kN, core::kReorderAutoMinNodes);
+  util::Rng rng(2027);
+  const graph::Graph g0 = graph::random_connected(kN, 8.0 / kN, rng);
+  // Certified bound: diam <= 2 * ecc(v) for any v.
+  const AlgAu alg(2 * static_cast<int>(graph::eccentricity(g0, 0)));
+  const core::Configuration c0 =
+      au_adversarial_configuration("random", alg, g0, rng);
+
+  struct Result {
+    bool reordered = false;
+    core::RunOutcome good;
+    PostStabilizationReport post;
+  };
+  const auto run = [&](core::ReorderMode mode) {
+    core::EngineOptions opts;
+    opts.reorder = mode;
+    opts.thread_count = 2;
+    graph::Graph g = g0;
+    auto sched = sched::make_scheduler("synchronous", g);
+    core::Engine engine(g, alg, *sched, c0, 1, opts);
+    Result r;
+    r.reordered = g.reordered();
+    r.good = run_to_good(engine, alg, round_budget(alg.turns().k()));
+    r.post = verify_post_stabilization(engine, alg, 8);
+    return r;
+  };
+  const Result on = run(core::ReorderMode::kAuto);
+  const Result off = run(core::ReorderMode::kOff);
+  ASSERT_TRUE(on.reordered);
+  ASSERT_FALSE(off.reordered);
+
+  ASSERT_TRUE(off.good.reached);
+  EXPECT_EQ(on.good.reached, off.good.reached);
+  EXPECT_EQ(on.good.time, off.good.time);
+  EXPECT_EQ(on.good.rounds, off.good.rounds);
+
+  EXPECT_TRUE(on.post.safety_ok);
+  EXPECT_TRUE(on.post.outputs_ok);
+  EXPECT_TRUE(on.post.ticks_plus_one);
+  EXPECT_TRUE(on.post.liveness_ok);
+  EXPECT_EQ(on.post.min_ticks, off.post.min_ticks);
+  EXPECT_EQ(on.post.max_ticks, off.post.max_ticks);
+}
+
+// The same agreement for track_phases and measure_potential, on a graph
+// small enough to reorder only when asked (ReorderMode::kBfs).
+TEST(AuStabilization, PhaseTrackingAgreesWithAndWithoutReorder) {
+  constexpr core::NodeId kN = 600;
+  util::Rng rng(2028);
+  const graph::Graph g0 = graph::random_connected(kN, 6.0 / kN, rng);
+  const AlgAu alg(static_cast<int>(graph::diameter(g0)));
+  const core::Configuration c0 =
+      au_adversarial_configuration("random", alg, g0, rng);
+
+  struct Result {
+    bool reordered = false;
+    PotentialSnapshot start;
+    PhaseTimes phases;
+    core::Time time = 0;
+  };
+  const auto run = [&](core::ReorderMode mode) {
+    core::EngineOptions opts;
+    opts.reorder = mode;
+    graph::Graph g = g0;
+    auto sched = sched::make_scheduler("synchronous", g);
+    core::Engine engine(g, alg, *sched, c0, 1, opts);
+    Result r;
+    r.reordered = g.reordered();
+    r.start = measure_potential(alg.turns(), engine.graph(), engine.config());
+    r.phases = track_phases(engine, alg, round_budget(alg.turns().k()));
+    r.time = engine.time();
+    return r;
+  };
+  const Result on = run(core::ReorderMode::kBfs);
+  const Result off = run(core::ReorderMode::kOff);
+  ASSERT_TRUE(on.reordered);
+  ASSERT_FALSE(off.reordered);
+
+  EXPECT_EQ(on.start.non_protected_edges, off.start.non_protected_edges);
+  EXPECT_EQ(on.start.faulty_nodes, off.start.faulty_nodes);
+  EXPECT_EQ(on.start.non_out_protected_nodes,
+            off.start.non_out_protected_nodes);
+  EXPECT_EQ(on.start.unjustified_nodes, off.start.unjustified_nodes);
+  EXPECT_EQ(on.start.max_level_gap, off.start.max_level_gap);
+
+  ASSERT_TRUE(off.phases.reached_t2);
+  EXPECT_EQ(on.phases.reached_t0, off.phases.reached_t0);
+  EXPECT_EQ(on.phases.reached_t1, off.phases.reached_t1);
+  EXPECT_EQ(on.phases.reached_t2, off.phases.reached_t2);
+  EXPECT_EQ(on.phases.t0_rounds, off.phases.t0_rounds);
+  EXPECT_EQ(on.phases.t1_rounds, off.phases.t1_rounds);
+  EXPECT_EQ(on.phases.t2_rounds, off.phases.t2_rounds);
+  EXPECT_EQ(on.phases.monotone, off.phases.monotone);
+  EXPECT_EQ(on.time, off.time);
 }
 
 }  // namespace

@@ -100,16 +100,13 @@ TEST(DynamicUsage, ConfigStoreNarrowIsByteCompact) {
   core::Configuration c(1000, 3);
   store.reset(c, /*narrow=*/true);
   ASSERT_TRUE(store.narrow());
-  // One byte per node plus the SIMD gather tail slack; the wide view has
-  // not been materialized yet.
+  // One byte per node plus the SIMD gather tail slack, and nothing else:
+  // the store keeps no wide copy of itself.
   constexpr std::size_t kBytes = 1000 + core::simd::kByteStorePadding;
   EXPECT_EQ(store.dynamic_memory_usage(), kBytes);
-
-  // Materializing the lazy wide view is a real allocation the accounting
-  // must report.
-  (void)store.view();
-  EXPECT_EQ(store.dynamic_memory_usage(),
-            kBytes + 1000 * sizeof(core::StateId));
+  store.set(7, 5);
+  EXPECT_EQ(store.get(7), 5u);
+  EXPECT_EQ(store.dynamic_memory_usage(), kBytes);
 }
 
 TEST(DynamicUsage, ConfigStoreWideChargesStateIds) {
@@ -118,7 +115,8 @@ TEST(DynamicUsage, ConfigStoreWideChargesStateIds) {
   store.reset(c, /*narrow=*/false);
   ASSERT_FALSE(store.narrow());
   EXPECT_EQ(store.dynamic_memory_usage(), 1000 * sizeof(core::StateId));
-  (void)store.view();  // wide mode returns the buffer itself: no new memory
+  // wide() is the buffer itself: no new memory.
+  EXPECT_EQ(store.wide().data(), store.wide_data());
   EXPECT_EQ(store.dynamic_memory_usage(), 1000 * sizeof(core::StateId));
 }
 

@@ -392,18 +392,16 @@ void Engine::step() {
 // into the double buffer in one pass (no update list, no pending-bitmap
 // churn) and every step closes exactly one round.
 void Engine::step_synchronous() {
-  if (pool_) {
-    if (overlap_eligible()) {
-      enqueue_overlapped_step();
-    } else {
-      step_parallel_synchronous();
-    }
+  if (pool_ && !listener_) {
+    enqueue_overlapped_step();
     return;
   }
   if (store_.narrow()) {
     step_synchronous_serial(store_.bytes_data(), next_store_.bytes_data());
+    if (listener_) replay_sync(store_.bytes_data(), next_store_.bytes_data());
   } else {
     step_synchronous_serial(store_.wide_data(), next_store_.wide_data());
+    if (listener_) replay_sync(store_.wide_data(), next_store_.wide_data());
   }
   store_.swap(next_store_);
   config_view_valid_ = false;
@@ -427,7 +425,7 @@ void Engine::step_synchronous_serial(const T* cur, T* next) {
   // signal_field_stale() tells observability readers.
   const bool patch_field = field_live();
   const unsigned pf = options_.prefetch_distance;
-  if (mask_kernel_ && !listener_) {
+  if (mask_kernel_) {
     if (dense_table_ != nullptr && !patch_field) {
       // Vectorized table application: the SIMD mask gather feeds one
       // devirtualized table load per node — no virtual δ dispatch, no rng
@@ -460,13 +458,33 @@ void Engine::step_synchronous_serial(const T* cur, T* next) {
       const SignalView sig = scratch_.sense(graph_, cur, v, pf);
       const StateId curq = cur[v];
       const StateId nextq = stepper_->step_fast(curq, sig, step_rng(v));
-      if (nextq != curq) {
-        if (listener_) emit_listener(v, curq, nextq, sig);
-        if (patch_field) field_->apply_transition(v, curq, nextq);
+      if (patch_field && nextq != curq) {
+        field_->apply_transition(v, curq, nextq);
       }
       next[v] = static_cast<T>(nextq);
       bump_act(v, act_saturated_);
     }
+  }
+}
+
+// Listener replay (see the header comment): the step's serial point still
+// holds C_t in the store, so every signal is sensed over the pre-step
+// configuration, and the emission order is the serial kernels' iteration
+// order — activation order for an update list, node order for a buffer diff.
+void Engine::replay_updates() {
+  const std::size_t count = updates_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [v, to] = updates_.get(i);
+    const StateId from = store_.get(v);
+    if (to != from) emit_listener(v, from, to);
+  }
+}
+
+template <typename T>
+void Engine::replay_sync(const T* cur, const T* next) {
+  const NodeId n = graph_.num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    if (next[v] != cur[v]) emit_listener(v, cur[v], next[v]);
   }
 }
 
@@ -519,13 +537,8 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
   }
 }
 
-// Sharded synchronous kernel: each worker computes its contiguous node range
-// of the double buffer against per-shard workspaces; the epoch barrier in
-// ParallelEngine::run makes all writes visible before the buffer swap. With a
-// listener attached, workers log transitions and the engine replays them in
-// node order afterwards (shards are contiguous and ascending, so shard-order
-// concatenation IS node order) — the observed stream is bit-identical to the
-// serial kernel's.
+// Re-balances the synchronous node partition after topology churn and
+// (re)computes its read frontiers, the overlapped kernel's dependency edges.
 void Engine::refresh_sync_shards() {
   if (sync_shards_dirty_) {
     // Topology churn shifted the degree weights: re-balance the node
@@ -540,60 +553,6 @@ void Engine::refresh_sync_shards() {
   if (sync_frontiers_.empty()) {
     compute_shard_frontiers_into(sync_frontiers_, graph_, sync_shards_);
   }
-}
-
-template <typename T>
-void Engine::run_parallel_sync(const T* cur, T* next,
-                               const bool log_transitions) {
-  pool_->run(sync_shards_, [&](const Shard& shard, unsigned shard_index) {
-    ShardWorkspace& ws = shard_ws_[shard_index];
-    shard_phase1(
-        shard, ws, cur, ws.transitions[0], log_transitions,
-        [](NodeId i) { return i; },
-        [&](NodeId, NodeId v, StateId nextq) {
-          next[v] = static_cast<T>(nextq);
-          bump_act(v, ws.act_saturated);
-        });
-  });
-}
-
-void Engine::step_parallel_synchronous() {
-  refresh_sync_shards();
-  // A live signal field also needs the transition logs: workers cannot
-  // patch shared counter rows concurrently (a node's neighbors straddle
-  // shards), so the engine patches from the concatenated logs after the
-  // barrier — deltas commute, and nothing senses the field mid-step.
-  const bool patch_field = field_live();
-  const bool log_transitions = static_cast<bool>(listener_) || patch_field;
-  if (store_.narrow()) {
-    run_parallel_sync(store_.bytes_data(), next_store_.bytes_data(),
-                      log_transitions);
-  } else {
-    run_parallel_sync(store_.wide_data(), next_store_.wide_data(),
-                      log_transitions);
-  }
-  if (listener_) {
-    for (const ShardWorkspace& ws : shard_ws_) {
-      for (const TransitionRec& tr : ws.transitions[0]) {
-        const SignalView sig = sense_current(scratch_, tr.v);
-        emit_listener(tr.v, tr.from, tr.to, sig);
-      }
-    }
-  }
-  const auto apply_from = std::chrono::steady_clock::now();
-  if (patch_field) {
-    for (const ShardWorkspace& ws : shard_ws_) {
-      field_->apply_transitions(ws.transitions[0].data(),
-                                ws.transitions[0].size());
-    }
-  }
-  store_.swap(next_store_);
-  config_view_valid_ = false;
-  ++time_;
-  ++rounds_;
-  last_boundary_time_ = time_;
-  apply_phase_ns_ += elapsed_ns(apply_from);
-  maybe_promote_acts();
 }
 
 // --- overlapped synchronous pipeline ----------------------------------------
@@ -713,7 +672,7 @@ void Engine::step_async() {
   // The !empty() guard keeps a sparse_activation_threshold of 0 (or a
   // scheduler emitting an empty A_t) on the serial path, which handles the
   // degenerate step gracefully — zero activations cannot be sharded.
-  if (sparse_eligible_ && !active_.empty() &&
+  if (sparse_eligible_ && !listener_ && !active_.empty() &&
       active_.size() >= options_.sparse_activation_threshold) {
     step_sparse_parallel();
     return;
@@ -751,6 +710,7 @@ void Engine::step_async() {
     async_phase1(store_.wide_data());
   }
 
+  if (listener_) replay_updates();
   apply_updates_and_close_rounds();
 }
 
@@ -764,7 +724,7 @@ void Engine::async_phase1(const T* cfg) {
     // rebuild only reads the raw buffer `cfg` points into.)
     ensure_field_fresh();
     field_senses_ += active_.size();
-    if (mask_kernel_ && !listener_ && field_->mask_exact()) {
+    if (mask_kernel_ && field_->mask_exact()) {
       const Automaton& kernel = *stepper_;
       for (const NodeId v : active_) {
         const StateId cur = cfg[v];
@@ -774,13 +734,10 @@ void Engine::async_phase1(const T* cfg) {
     } else {
       for (const NodeId v : active_) {
         const SignalView sig = field_->sense(v, field_scratch_);
-        const StateId cur = cfg[v];
-        const StateId next = stepper_->step_fast(cur, sig, step_rng(v));
-        if (next != cur && listener_) emit_listener(v, cur, next, sig);
-        updates_.push(v, next);
+        updates_.push(v, stepper_->step_fast(cfg[v], sig, step_rng(v)));
       }
     }
-  } else if (mask_kernel_ && !listener_) {
+  } else if (mask_kernel_) {
     const unsigned pf = options_.prefetch_distance;
     if (dense_table_ != nullptr) {
       const std::uint8_t* table = dense_table_;
@@ -803,10 +760,7 @@ void Engine::async_phase1(const T* cfg) {
     const unsigned pf = options_.prefetch_distance;
     for (const NodeId v : active_) {
       const SignalView sig = scratch_.sense(graph_, cfg, v, pf);
-      const StateId cur = cfg[v];
-      const StateId next = stepper_->step_fast(cur, sig, step_rng(v));
-      if (next != cur && listener_) emit_listener(v, cur, next, sig);
-      updates_.push(v, next);
+      updates_.push(v, stepper_->step_fast(cfg[v], sig, step_rng(v)));
     }
   }
 }
@@ -828,9 +782,8 @@ void Engine::async_phase1(const T* cfg) {
 // shard-index order after the graph drains; spans are contiguous and
 // ascending, so shard-order concatenation IS activation-list order and the
 // merge matches the serial apply loop record for record (field_patches_
-// included, which snapshots serialize). With a listener attached the replay
-// needs signals from the PRE-apply configuration, so that path keeps the
-// barriered phase-1 fan-out and the serial apply loop.
+// included, which snapshots serialize). Listener engines never get here
+// (step_async keeps them serial).
 template <typename T>
 void Engine::sparse_phase1_impl(const Shard& shard, unsigned shard_index,
                                 const T* cfg) {
@@ -868,17 +821,6 @@ void Engine::sparse_apply_task(void* ctx, const Shard& shard,
   ws.newly_done = newly_done;
 }
 
-template <typename T>
-void Engine::sparse_listener_phase1(const T* cfg) {
-  pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index) {
-    ShardWorkspace& ws = shard_ws_[shard_index];
-    shard_phase1(
-        shard, ws, cfg, ws.transitions[0], true,
-        [&](NodeId i) { return active_[i]; },
-        [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
-  });
-}
-
 void Engine::step_sparse_parallel() {
 #ifndef NDEBUG
   {
@@ -899,23 +841,6 @@ void Engine::step_sparse_parallel() {
       sparse_shards_, count, pool_->shard_count(), [&](NodeId i) {
         return static_cast<std::uint64_t>(graph_.degree(active_[i])) + 1;
       });
-
-  if (listener_) {
-    // Listener fallback: barriered phase 1, replay, serial apply.
-    if (store_.narrow()) {
-      sparse_listener_phase1(store_.bytes_data());
-    } else {
-      sparse_listener_phase1(store_.wide_data());
-    }
-    for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
-      for (const TransitionRec& tr : shard_ws_[s].transitions[0]) {
-        const SignalView sig = sense_current(scratch_, tr.v);
-        emit_listener(tr.v, tr.from, tr.to, sig);
-      }
-    }
-    apply_updates_and_close_rounds();
-    return;
-  }
 
   // Task-graph path: phase-1 tasks (no deps), then per-shard apply tasks
   // dependent on all of them.
@@ -987,11 +912,11 @@ void Engine::step_legacy() {
 
 // Phase 2: apply simultaneously; advance round bookkeeping. A live signal
 // field is patched here from exactly the applied transitions — the single
-// spot all serial-apply engine paths (serial async, listener fallbacks, and
-// the legacy oracle, which never owns a field) flow through. Deliberately
-// NOT timed into apply_phase_ns_: single-activation steps are ~100ns, so a
-// clock read per step here would tax the serial hot loop measurably —
-// apply_phase_ns_ instruments the parallel kernels only.
+// spot all serial-apply engine paths (serial async, listener engines
+// included, and the legacy oracle, which never owns a field) flow through.
+// Deliberately NOT timed into apply_phase_ns_: single-activation steps are
+// ~100ns, so a clock read per step here would tax the serial hot loop
+// measurably — apply_phase_ns_ instruments the parallel kernels only.
 void Engine::apply_updates_and_close_rounds() {
   const bool patch_field = field_live();
   const std::size_t count = updates_.size();

@@ -36,9 +36,9 @@
 //     EngineOptions::signal_field); kOn forces maintenance on every fast
 //     path; kOff (and the legacy oracle) never touches it;
 //   * the sharded kernels keep the field consistent without sensing through
-//     it: the sparse-activation kernel patches it during its serial phase 2,
-//     the sharded synchronous kernel patches it from the per-shard
-//     transition logs after the barrier, and configuration injections
+//     it: the sparse-activation kernel patches it in its serial merge, the
+//     overlapped synchronous kernel in one merge task per step from the
+//     per-shard transition logs, and configuration injections
 //     invalidate it for a lazy rebuild at the next field sense — so the
 //     field-sensed trajectory is bit-identical to the rescan-sensed one at
 //     every thread count.
@@ -54,10 +54,10 @@
 //   * under a full-activation scheduler the double-buffered synchronous step
 //     is sharded over contiguous degree-weighted node ranges (core/shard.hpp);
 //     every node reads the previous buffer and writes only its own slot, so
-//     shards never contend. With EngineOptions::overlap_steps (the default),
-//     consecutive synchronous steps PIPELINE: phase 1 of step t+1 on shard s
-//     starts as soon as step t has completed every shard in s's read
-//     frontier (core/shard.hpp, ShardFrontier — the interval hull of s's
+//     shards never contend. Consecutive synchronous steps PIPELINE: phase 1
+//     of step t+1 on shard s starts as soon as step t has completed every
+//     shard in s's read frontier (core/shard.hpp, ShardFrontier — the
+//     interval hull of s's
 //     neighbor shards, which by adjacency symmetry covers both the
 //     read-after-write and write-after-read hazards of the parity-addressed
 //     double buffer), instead of after a global barrier. Steps are enqueued
@@ -66,10 +66,7 @@
 //     live signal field adds one merge task per step (dependent on all of
 //     that step's shards and the previous merge) that drains the per-shard
 //     transition logs in shard-index order — the deterministic merge that
-//     keeps the field bit-identical to serial maintenance. Engines with a
-//     transition listener run the barriered kernel instead (the listener
-//     contract materializes signals from the pre-step configuration, which
-//     pipelining overwrites);
+//     keeps the field bit-identical to serial maintenance;
 //   * under an asynchronous daemon whose activation sets can get large
 //     (Scheduler::max_activation_hint() at or above
 //     EngineOptions::sparse_activation_threshold), any step with
@@ -83,13 +80,19 @@
 //     patches from the logs, pending-count/round-close detection: exactly
 //     the cross-shard effects that need a deterministic order). The
 //     scheduler draw itself stays serial, so the schedule is untouched;
-//     steps below the threshold (or with a listener attached, whose replay
-//     needs the pre-apply configuration) run the serial apply path;
-//   * transition listeners stay exact: workers log (v, from, to) per shard
-//     and the engine replays the concatenated logs in iteration order after
-//     the barrier, materializing each signal from the pre-step configuration;
+//     steps below the threshold run the serial apply path;
 //   * single-node daemons (max_activation_hint() below the threshold) run
 //     the serial path regardless of thread_count and spawn no workers.
+//
+// Transition listeners (set_transition_listener): no kernel loop sees the
+// listener. An engine with one attached runs the serial kernels, and each
+// step replays it at the step's serial point — after every next state is
+// computed, before any lands — from the pre-step configuration: the update
+// list in activation order (asynchronous steps), the double-buffer diff in
+// node order (synchronous steps), one callback per node whose state changes,
+// its signal sensed over C_t. Detaching hands the step back to the sharded
+// kernels (the pool and shard plans stay in place). The legacy oracle keeps
+// its own inline Signal::from_states emission.
 //
 // Topology churn (Engine::apply_topology_delta):
 //   * the paper's §1 obstacle events — links failing and healing mid-run —
@@ -254,15 +257,6 @@ struct EngineOptions {
   /// SignalFieldMode. Purely a performance knob: trajectories are
   /// bit-identical in every mode.
   SignalFieldMode signal_field = SignalFieldMode::kAuto;
-  /// Pipeline consecutive synchronous steps on the sharded kernel: phase 1
-  /// of step t+1 overlaps phase 2 of step t wherever a shard's read
-  /// frontier is already applied (see the header comment's legality
-  /// argument). Only the sharded synchronous kernel reads this; engines
-  /// with a transition listener, serial engines, and asynchronous daemons
-  /// ignore it. Purely a performance knob: every observable accessor
-  /// flushes the pipeline, so trajectories and visible state are
-  /// bit-identical either way.
-  bool overlap_steps = true;
   /// Cache-locality node reordering — see ReorderMode. Only the
   /// churn-capable constructor acts on it; const-graph engines ignore it.
   ReorderMode reorder = ReorderMode::kAuto;
@@ -452,11 +446,12 @@ class UpdateList {
 
 class Engine {
  public:
-  /// Observes every state transition (from != to) as it is applied. On the
-  /// fast path the Signal is materialized into one engine-owned scratch that
-  /// is reused across callbacks (no per-transition allocation once warm);
-  /// the reference is only valid for the duration of the call — listeners
-  /// that keep signals must copy them.
+  /// Observes every state transition (from != to) of a step, before the
+  /// step's new states land (see the header comment's listener rule). On
+  /// the fast path the Signal is materialized into one engine-owned scratch
+  /// that is reused across callbacks (no per-transition allocation once
+  /// warm); the reference is only valid for the duration of the call —
+  /// listeners that keep signals must copy them.
   using TransitionListener = std::function<void(
       NodeId v, StateId from, StateId to, const Signal& sig, Time t)>;
 
@@ -556,9 +551,10 @@ class Engine {
   /// dynamic_memory_usage(). Flushes the pipeline.
   [[nodiscard]] std::size_t dynamic_memory_usage() const;
 
-  /// Listener replay needs the pre-step configuration, so attaching (or
-  /// detaching) one flushes the pipeline and routes subsequent synchronous
-  /// steps through the barriered kernel.
+  /// Attaching a listener routes every later step through the serial
+  /// kernels (the listener is replayed from the pre-step configuration);
+  /// passing nullptr detaches it and restores the sharded kernels. Either
+  /// way the pipeline is flushed first.
   void set_transition_listener(TransitionListener listener) {
     flush_overlap();
     listener_ = std::move(listener);
@@ -610,9 +606,9 @@ class Engine {
     ensure_flushed();
     return pool_ ? pool_->barrier_wait_ns() : 0;
   }
-  /// Nanoseconds spent in phase-2 apply/merge work — the serial
-  /// apply-and-close-rounds path, the sparse kernel's post-barrier merge,
-  /// and the overlapped kernel's field-merge tasks. Flushes the pipeline.
+  /// Nanoseconds spent in the sharded kernels' phase-2 merge work — the
+  /// sparse kernel's serial merge and the overlapped kernel's field-merge
+  /// tasks (the serial apply path is not timed). Flushes the pipeline.
   [[nodiscard]] std::uint64_t apply_phase_ns() const {
     ensure_flushed();
     return apply_phase_ns_;
@@ -697,18 +693,12 @@ class Engine {
   using TransitionRec = Transition;  // core/signal_field.hpp
 
   void step_synchronous();
-  void step_parallel_synchronous();
   void step_async();
   void step_sparse_parallel();
   void step_legacy();
   void apply_updates_and_close_rounds();
 
   // --- overlapped synchronous pipeline (see the header comment) -------------
-  /// True when step() may enqueue pipelined synchronous steps right now.
-  [[nodiscard]] bool overlap_eligible() const {
-    return pool_ != nullptr && full_activation_ && options_.overlap_steps &&
-           !listener_;
-  }
   /// Enqueues one synchronous step as frontier-dependent phase-1 tasks (plus
   /// a field-merge task when the field is live) without waiting for it.
   void enqueue_overlapped_step();
@@ -754,23 +744,35 @@ class Engine {
   /// (i.e. applied transitions must patch it to keep it that way).
   [[nodiscard]] bool field_live() const { return field_ && !field_stale_; }
 
-  /// Fast-path listener dispatch: refills the reusable scratch Signal from
-  /// the view's span (no allocation once warm) and invokes the callback.
-  /// `v` is an internal id; the listener, like every public surface, sees
-  /// the user id.
-  void emit_listener(NodeId v, StateId from, StateId to, const SignalView& sig) {
-    listener_scratch_.assign_sorted_unique(sig.states());
+  /// Fast-path listener dispatch for internal node v moving from -> to in
+  /// the step about to land: senses v over the current (pre-step) store,
+  /// refills the reusable scratch Signal from the view's span (no
+  /// allocation once warm) and invokes the callback with the user id.
+  void emit_listener(NodeId v, StateId from, StateId to) {
+    listener_scratch_.assign_sorted_unique(
+        sense_current(scratch_, v).states());
     listener_(graph_.to_user(v), from, to, listener_scratch_, time_);
   }
+
+  /// The listener replay of an asynchronous step (run before
+  /// apply_updates_and_close_rounds): every update that changes its node's
+  /// state, in activation order.
+  void replay_updates();
+  /// The listener replay of a synchronous step (run before the buffer
+  /// swap): every node whose state differs between the buffers, in node
+  /// order.
+  template <typename T>
+  void replay_sync(const T* cur, const T* next);
 
   /// Phase 1 of one shard, shared by both parallel kernels (their loop
   /// bodies must stay in lockstep or bit-identity silently breaks):
   /// computes the next state of every index in [shard.begin, shard.end)
-  /// against the raw read buffer `cfg` (the current store, or the parity-
-  /// selected buffer in the overlapped kernel; templated on the element type
-  /// so the byte-compact and wide storage modes share one body), mapping
-  /// indices to nodes via `node_of` (identity for the synchronous kernel,
-  /// the activation list for the sparse kernel) and handing results to
+  /// against the raw read buffer `cfg` (the parity-selected buffer in the
+  /// overlapped kernel, the current store in the sparse kernel; templated on
+  /// the element type so the byte-compact and wide storage modes share one
+  /// body), mapping indices to nodes via `node_of` (identity for the
+  /// synchronous kernel, the activation list for the sparse kernel) and
+  /// handing results to
   /// `emit(i, v, next)` (double-buffer slot vs update-list slot). Logs
   /// transitions into `log` when `log_transitions`.
   template <typename T, typename NodeOf, typename Emit>
@@ -781,15 +783,11 @@ class Engine {
   template <typename T>
   void step_synchronous_serial(const T* cur, T* next);
   template <typename T>
-  void run_parallel_sync(const T* cur, T* next, bool log_transitions);
-  template <typename T>
   void overlap_phase1_impl(const Shard& shard, unsigned shard_index,
                            std::uint64_t seq, const T* read, T* write);
   template <typename T>
   void sparse_phase1_impl(const Shard& shard, unsigned shard_index,
                           const T* cfg);
-  template <typename T>
-  void sparse_listener_phase1(const T* cfg);
   /// Serial asynchronous phase 1 over `cfg` (the raw current-store buffer):
   /// the per-activation gather loops, templated on the element width so the
   /// narrow/wide branch is taken once per step, not once per activation.
@@ -915,7 +913,7 @@ class Engine {
     // phase 1 of step t+1 start (and clear its log) while the merge task of
     // step t still drains step t's — one log per parity keeps them apart
     // (phase 1 of step t+2 depends on merge(t), so depth never exceeds the
-    // two buffers). Non-overlapped paths use index 0 only.
+    // two buffers). The sparse kernel uses index 0 only.
     std::vector<TransitionRec> transitions[2];
     // Lazy-memo compiled kernels are single-threaded; each shard gets its own
     // instance (dense tables are immutable after construction and shared).
@@ -972,7 +970,7 @@ class Engine {
 
   // Delta-maintained signal field (null when routing disabled it). The
   // field is patched wherever updates are applied serially, patched from
-  // the per-shard logs after a sharded synchronous barrier, and marked
+  // the per-shard logs by the sharded kernels' merges, and marked
   // stale (for a lazy rebuild at the next field sense) by injections.
   std::unique_ptr<SignalField> field_;
   bool field_stale_ = false;

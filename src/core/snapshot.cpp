@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/options_codec.hpp"
 #include "util/binary_io.hpp"
 
 namespace ssau::core::snapshot {
@@ -14,6 +15,8 @@ namespace {
 
 constexpr std::uint8_t kMagic[8] = {'S', 'S', 'A', 'U', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kEndianSentinel = 0x01020304;
+// v3 appended the reorder byte to section 1's engine options.
+constexpr std::uint32_t kReorderSinceVersion = 3;
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;  // magic, version, endian, len
 constexpr std::size_t kFooterSize = 4;              // CRC-32
 
@@ -55,40 +58,6 @@ std::uint64_t hash_graph(const graph::Graph& g) {
     }
   }
   return h;
-}
-
-void write_options(util::BinaryWriter& w, const EngineOptions& o) {
-  w.u8(o.fast_path ? 1 : 0);
-  w.u8(o.compile ? 1 : 0);
-  w.u32(o.thread_count);
-  w.u64(o.sparse_activation_threshold);
-  w.u8(static_cast<std::uint8_t>(o.signal_field));
-  w.u8(static_cast<std::uint8_t>(o.reorder));
-}
-
-EngineOptions read_options(util::BinaryReader& r, std::uint32_t version) {
-  EngineOptions o;
-  o.fast_path = r.u8() != 0;
-  o.compile = r.u8() != 0;
-  o.thread_count = r.u32();
-  o.sparse_activation_threshold = r.u64();
-  const std::uint8_t mode = r.u8();
-  if (mode > static_cast<std::uint8_t>(SignalFieldMode::kOff)) {
-    throw util::SnapshotError("snapshot options: bad signal-field mode");
-  }
-  o.signal_field = static_cast<SignalFieldMode>(mode);
-  if (version >= 3) {
-    const std::uint8_t reorder = r.u8();
-    if (reorder > static_cast<std::uint8_t>(ReorderMode::kDegree)) {
-      throw util::SnapshotError("snapshot options: bad reorder mode");
-    }
-    o.reorder = static_cast<ReorderMode>(reorder);
-  } else {
-    // Pre-v3 writers never reordered; kOff (not the kAuto default) keeps a
-    // restored engine from inventing a layout the state arrays don't have.
-    o.reorder = ReorderMode::kOff;
-  }
-  return o;
 }
 
 /// Section-3 trailer (v3+): the serialized user->internal relabelling, or an
@@ -170,7 +139,7 @@ std::vector<std::uint8_t> save(const Engine& engine) {
   const std::size_t payload_start = w.tell();
 
   // 1. engine options
-  write_options(w, engine.options());
+  write_engine_options(w, engine.options());
 
   // 2. automaton identity
   w.u64(engine.automaton().state_count());
@@ -218,7 +187,8 @@ Info inspect(std::span<const std::uint8_t> bytes) {
   std::uint32_t version = kSnapshotVersion;
   auto r = open_payload(bytes, &version);
   Info info;
-  info.options = read_options(r, version);
+  info.options = read_engine_options(r, version, kReorderSinceVersion,
+                                     "snapshot options");
   info.state_count = r.u64();
   info.deterministic = r.u8() != 0;
   info.num_nodes = r.u32();
@@ -251,7 +221,8 @@ Info inspect(std::span<const std::uint8_t> bytes) {
 graph::Graph restore_graph(std::span<const std::uint8_t> bytes) {
   std::uint32_t version = kSnapshotVersion;
   auto r = open_payload(bytes, &version);
-  read_options(r, version);
+  static_cast<void>(read_engine_options(r, version, kReorderSinceVersion,
+                                        "snapshot options"));
   r.skip(8 + 1);  // automaton identity
   const graph::NodeId n = r.u32();
   const std::uint64_t m = r.u64();
@@ -301,7 +272,8 @@ std::unique_ptr<Engine> restore(std::span<const std::uint8_t> bytes,
                                 std::optional<EngineOptions> options_override) {
   std::uint32_t version = kSnapshotVersion;
   auto r = open_payload(bytes, &version);
-  const EngineOptions saved_options = read_options(r, version);
+  const EngineOptions saved_options = read_engine_options(
+      r, version, kReorderSinceVersion, "snapshot options");
 
   const std::uint64_t state_count = r.u64();
   const bool deterministic = r.u8() != 0;

@@ -9,16 +9,15 @@ Trace::Trace(Engine& engine, std::size_t capacity)
     : baseline_(engine.config()), capacity_(capacity) {
   engine.set_transition_listener([this](NodeId v, StateId from, StateId to,
                                         const Signal&, Time t) {
-    if (events_.size() >= capacity_) {
-      events_.erase(events_.begin());
+    if (capacity_ == 0) {
+      ++dropped_;
+      return;
+    }
+    if (events_.size() == capacity_) {
+      events_.pop_front();
       ++dropped_;
     }
-    TraceEvent e;
-    e.time = t;
-    e.node = v;
-    e.from = from;
-    e.to = to;
-    events_.push_back(e);
+    events_.push_back({t, v, from, to});
   });
 }
 

@@ -8,6 +8,7 @@
 // the final configuration from the initial one).
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -28,11 +29,12 @@ class Trace {
  public:
   /// Attaches to the engine (replacing any previous transition listener) and
   /// snapshots the current configuration as the replay baseline.
-  /// `capacity` bounds memory; older events are dropped FIFO when exceeded
-  /// (dropped() reports how many).
+  /// `capacity` bounds memory; older events are dropped FIFO, in O(1) each,
+  /// when exceeded (dropped() reports how many). Capacity 0 keeps nothing
+  /// and counts every event as dropped.
   explicit Trace(Engine& engine, std::size_t capacity = 1 << 20);
 
-  [[nodiscard]] const std::vector<TraceEvent>& events() const {
+  [[nodiscard]] const std::deque<TraceEvent>& events() const {
     return events_;
   }
   [[nodiscard]] std::size_t dropped() const { return dropped_; }
@@ -57,7 +59,7 @@ class Trace {
 
  private:
   Configuration baseline_;
-  std::vector<TraceEvent> events_;
+  std::deque<TraceEvent> events_;
   std::size_t capacity_;
   std::size_t dropped_ = 0;
 };

@@ -166,8 +166,9 @@ TEST(ConfigView, MatchesStateOfEverywhere) {
 }
 
 TEST(ConfigView, MatchesStateOfWithListener) {
-  // A listener routes the sharded kernels through their barriered and
-  // serial-apply fallbacks, which take the other side of the patch rule.
+  // A listener keeps every step on the serial kernels: the patch side of
+  // the rule for asynchronous steps, the invalidate side for synchronous
+  // ones, at every thread count.
   std::uint64_t seed = 1000;
   for (const char* sched : {"synchronous", "uniform-single", "random-subset"}) {
     for (const unsigned threads : {1u, 4u}) {

@@ -134,8 +134,9 @@ TEST(FastPathDifferential, SmallDeterministicAutomataCompileToTables) {
 }
 
 TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
-  // Attaching a listener switches the fast engine off the mask-only loop;
-  // the observed transition streams must match the legacy engine's exactly.
+  // The fast engine keeps its mask-only loop with a listener attached and
+  // replays the listener from the pre-step configuration; the observed
+  // transition streams must match the legacy engine's exactly.
   const unison::AlgAu alg(1);
   util::Rng rng(29);
   const graph::Graph g = graph::cycle(8);

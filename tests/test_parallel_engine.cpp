@@ -465,9 +465,10 @@ TEST(SparseActivationKernel, ZeroThresholdRunsEveryStepWithoutThrowing) {
 }
 
 TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
-  // Workers log per-shard transitions during sharded phase 1; the replayed
-  // stream (activation-list order, pre-step signals) must match the serial
-  // fast path and the legacy oracle exactly.
+  // A listener keeps a sparse-eligible engine on the serial kernel and is
+  // replayed in activation order from the pre-step configuration: the
+  // stream at every thread count must match the serial fast path and the
+  // legacy oracle exactly.
   const unison::AlgAu alg(2);
   util::Rng rng(89);
   const graph::Graph g = graph::random_connected(140, 0.04, rng);
@@ -512,9 +513,10 @@ TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
 }
 
 TEST(ParallelEngine, ListenerStreamBitIdentical) {
-  // Workers log transitions per shard and the engine replays them in node
-  // order: the observed (v, from, to, signal, t) stream must match the
-  // serial fast path and the legacy oracle exactly.
+  // A listener keeps a sharded synchronous engine on the serial kernel and
+  // is replayed in node order from the double-buffer diff: the observed
+  // (v, from, to, signal, t) stream must match the serial fast path and the
+  // legacy oracle exactly.
   const unison::AlgAu alg(2);
   util::Rng rng(61);
   const graph::Graph g = graph::random_connected(160, 0.03, rng);

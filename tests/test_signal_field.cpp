@@ -336,9 +336,10 @@ TEST(SignalFieldDifferential, SparseRepresentationSynchronizerProduct) {
 }
 
 TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
-  // The field-sensed listener path materializes signals from the field into
-  // a reused scratch Signal; the observed streams (and signal contents) must
-  // equal the legacy engine's allocating path exactly.
+  // A field-sensed engine replays its listener from the pre-step
+  // configuration into a reused scratch Signal; the observed streams (and
+  // signal contents) must equal the legacy engine's allocating path
+  // exactly.
   const unison::AlgAu alg(1);
   util::Rng rng(83);
   const graph::Graph g = graph::random_bounded_diameter(16, 2, rng);

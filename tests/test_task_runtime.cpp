@@ -7,8 +7,8 @@
 //     resolution contracts (0 = auto never reaches engine arithmetic as 0;
 //     recommended_threads divides the hardware budget across sessions);
 //   * the overlapped synchronous kernel — AU + MIS + LE under every
-//     scheduler at threads {1, 2, 4, 8} with overlap_steps forced ON must
-//     stay bit-identical to the serial engine (the overlap differential);
+//     scheduler at threads {1, 2, 4, 8} must stay bit-identical to the
+//     serial engine (the overlap differential);
 //   * the overlap window under torture — inject_state, inject_configuration,
 //     topology churn, and save/load fired BETWEEN overlapped steps must each
 //     flush the pipeline and observe/mutate exactly the settled state the
@@ -209,7 +209,6 @@ TEST(TaskRuntime, RecommendedThreadsDividesHardwareAcrossSessions) {
 core::EngineOptions overlapped_options(unsigned threads) {
   core::EngineOptions options;
   options.thread_count = threads;
-  options.overlap_steps = true;
   return options;
 }
 
@@ -439,8 +438,9 @@ TEST(OverlapTorture, LongFreeRunCrossesWindowBoundaries) {
 
 TEST(OverlapTorture, ListenerDisablesOverlapButStaysExact) {
   // Attaching a listener mid-run flushes the pipeline and re-routes through
-  // the barriered kernel; the observed transition stream must match the
-  // serial engine's exactly from that point on.
+  // the serial kernel; the observed transition stream must match the serial
+  // engine's exactly from that point on. Detaching it hands the steps back
+  // to the overlapped kernel, which must pick up the exact settled state.
   const unison::AlgAu alg(2);
   util::Rng rng(53);
   const graph::Graph g = graph::random_bounded_diameter(32, 2, rng);
@@ -480,6 +480,21 @@ TEST(OverlapTorture, ListenerDisablesOverlapButStaysExact) {
   }
   EXPECT_EQ(seen_overlapped, seen_serial);
   ASSERT_EQ(overlapped.config(), serial.config());
+
+  serial.set_transition_listener(nullptr);
+  overlapped.set_transition_listener(nullptr);
+  EXPECT_EQ(overlapped.shard_count(), 4u);  // the pool outlived the listener
+  for (int s = 0; s < 80; ++s) {
+    serial.step();
+    overlapped.step();
+  }
+  ASSERT_EQ(overlapped.config(), serial.config());
+  EXPECT_EQ(overlapped.time(), serial.time());
+  EXPECT_EQ(overlapped.rounds_completed(), serial.rounds_completed());
+  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(overlapped.activation_count(v), serial.activation_count(v))
+        << "node " << v;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -84,16 +85,36 @@ TEST(Trace, HistogramByTransitionType) {
 }
 
 TEST(Trace, CapacityBoundDropsOldestEvents) {
-  TracedRun r;
-  util::Rng rng(11);
-  Engine engine(r.g, r.alg, r.sched,
-                unison::au_adversarial_configuration("random", r.alg, r.g,
-                                                     rng),
-                11);
-  Trace trace(engine, 10);
-  for (int t = 0; t < 50; ++t) engine.step();
-  EXPECT_LE(trace.events().size(), 10u);
-  EXPECT_GT(trace.dropped(), 0u);
+  // A capped trace keeps exactly the newest `capacity` events of an uncapped
+  // trace of the same run, and counts every other event as dropped.
+  for (const std::size_t capacity : {std::size_t{10}, std::size_t{0}}) {
+    TracedRun r;
+    util::Rng rng(11);
+    const Configuration c0 =
+        unison::au_adversarial_configuration("random", r.alg, r.g, rng);
+    sched::SynchronousScheduler full_sched{6};
+    Engine full_engine(r.g, r.alg, full_sched, c0, 11);
+    Engine capped_engine(r.g, r.alg, r.sched, c0, 11);
+    Trace full(full_engine);
+    Trace capped(capped_engine, capacity);
+    for (int t = 0; t < 50; ++t) {
+      full_engine.step();
+      capped_engine.step();
+    }
+    ASSERT_EQ(full.dropped(), 0u);
+    ASSERT_GT(full.events().size(), capacity);
+    EXPECT_EQ(capped.events().size(), capacity) << "capacity " << capacity;
+    EXPECT_EQ(capped.dropped() + capped.events().size(), full.events().size());
+    const auto same = [](const TraceEvent& a, const TraceEvent& b) {
+      return a.time == b.time && a.node == b.node && a.from == b.from &&
+             a.to == b.to;
+    };
+    EXPECT_TRUE(std::equal(capped.events().begin(), capped.events().end(),
+                           full.events().end() -
+                               static_cast<std::ptrdiff_t>(capacity),
+                           same))
+        << "capacity " << capacity;
+  }
 }
 
 TEST(Trace, CsvHasHeaderAndOneRowPerEvent) {

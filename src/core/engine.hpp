@@ -14,8 +14,9 @@
 //
 // Hot path (EngineOptions::fast_path, the default):
 //   * signals are zero-allocation SignalViews built in a reusable scratch
-//     (bitmask construction when every sensed StateId < 64, sorted-span
-//     otherwise) and fed to Automaton::step_fast;
+//     (a presence bitmap of up to four words on the byte store, |Q| <= 256;
+//     sort + dedup on the wide store) and fed to Automaton::step_fast —
+//     |Q| <= 64 skips the view and feeds the 64-bit mask to step_mask;
 //   * deterministic automata with |Q| <= 64 are compiled into a table-driven
 //     kernel (CompiledAutomaton) at engine construction;
 //   * under a full-activation scheduler (Scheduler::full_activation), the

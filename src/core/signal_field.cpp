@@ -207,16 +207,10 @@ SignalView SignalField::sense(NodeId v, std::vector<StateId>& scratch) const {
     scratch.clear();
     const std::uint64_t* words =
         masks_.data() + static_cast<std::size_t>(v) * mask_words_;
-    if (mask_words_ == 1) {
-      unpack_mask(words[0], scratch);
-      return {scratch, words[0], true};
-    }
-    bool small = true;
     for (StateId w = 0; w < mask_words_; ++w) {
-      if (w > 0 && words[w] != 0) small = false;
-      unpack_mask(words[w], scratch, w * 64);
+      unpack_mask(words[w], scratch, w * SignalView::kMaskBits);
     }
-    return {scratch, small ? words[0] : 0, small};
+    return {scratch, std::span<const std::uint64_t>(words, mask_words_)};
   }
   const auto& keys = keys_[v];
   const bool small = keys.empty() || keys.back() < SignalView::kMaskBits;

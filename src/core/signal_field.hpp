@@ -128,9 +128,10 @@ class SignalField {
   [[nodiscard]] bool mask_exact() const { return dense_ && mask_words_ == 1; }
 
   /// The signal of node v as a zero-copy sorted view. Dense mode unpacks the
-  /// presence bitmap into `scratch` (O(distinct)); sparse mode wraps the
-  /// node's keys span directly. The view is invalidated by the next sense
-  /// into the same scratch and by any apply_transition/rebuild.
+  /// presence bitmap into `scratch` (O(distinct)) and hands out the node's
+  /// own bitmap row as the view's words(); sparse mode wraps the node's keys
+  /// span directly. The view is invalidated by the next sense into the same
+  /// scratch and by any apply_transition/rebuild.
   [[nodiscard]] SignalView sense(NodeId v, std::vector<StateId>& scratch) const;
 
   /// True when the flat counter table is in use (vs the sorted multiset).

@@ -2,19 +2,22 @@
 //
 // Every per-activation cost in the fast path is dominated by one shape of
 // work: gather c[u] over a CSR adjacency span and fold the states into a
-// 64-bit presence mask (neighborhood_mask, SignalScratch::sense, the signal
-// field's rebuild). After graph::reorder packs neighborhoods into nearby
-// ids these gathers hit warm cache lines; this header squeezes what remains:
+// presence bitmap — one 64-bit word for mask-kernel automata (|Q| <= 64:
+// neighborhood_mask, the signal field's rebuild), four words for any byte
+// store (|Q| <= 256: SignalScratch::sense). After graph::reorder packs
+// neighborhoods into nearby ids these gathers hit warm cache lines; this
+// header squeezes what remains:
 //
 //   * software prefetch a configurable distance ahead of the gather index
 //     stream (the adjacency span is sequential, so nb[i + d] is known long
 //     before c[nb[i + d]] is needed);
-//   * an AVX2 lane-parallel mask accumulator for the byte-per-node storage
-//     mode: 8 neighbor ids per _mm256_i32gather_epi32, presence bits built
-//     with variable 64-bit shifts and OR-folded once per span.
+//   * AVX2 lane-parallel accumulators for the byte-per-node storage mode:
+//     8 neighbor ids per _mm256_i32gather_epi32, presence bits built with
+//     variable 64-bit shifts and OR-folded once per span (accumulate_mask
+//     into one word, accumulate_words into four).
 //
-// Dispatch is compile-time: the AVX2 overloads exist only under __AVX2__
-// (see the SSAU_NATIVE CMake option); every other build gets the scalar
+// Dispatch is compile-time: the AVX2 paths exist only under __AVX2__ (see
+// the SSAU_NATIVE CMake option); every other build gets the scalar
 // prefetching loops, which are bit-identical by construction. The AVX2 byte
 // gathers read 4 bytes at c + id, so byte configuration buffers must keep
 // kByteStorePadding readable bytes past the last node — ConfigStore
@@ -135,61 +138,65 @@ inline __m256i or_presence_bits(__m256i acc, __m256i states) {
 }
 #endif  // __AVX2__
 
-/// Checked variant for SignalScratch::sense, where narrow storage may hold
-/// states >= 64 (64 < |Q| <= 256): accumulates into `mask` and returns true
-/// iff every sensed state fit the bitmask. On false, `mask` is unspecified
-/// and the caller must fall back to the sparse sorted path.
-template <typename T>
-[[nodiscard]] inline bool try_accumulate_mask(
-    std::span<const graph::NodeId> neighbors, const T* c, std::uint64_t& mask,
-    unsigned prefetch_distance) {
-  const graph::NodeId* nb = neighbors.data();
-  const std::size_t deg = neighbors.size();
-  for (std::size_t i = 0; i < deg; ++i) {
-    if (prefetch_distance != 0 && i + prefetch_distance < deg) {
-      prefetch(c + nb[i + prefetch_distance]);
-    }
-    const StateId q = c[nb[i]];
-    if (q >= 64) return false;
-    mask |= std::uint64_t{1} << q;
-  }
-  return true;
-}
+/// Presence words of a byte store's state range: states < 256, bit q in word
+/// q / 64.
+inline constexpr std::size_t kPresenceWords = 4;
 
-#if defined(__AVX2__)
-[[nodiscard]] inline bool try_accumulate_mask(
-    std::span<const graph::NodeId> neighbors, const std::uint8_t* c,
-    std::uint64_t& mask, unsigned prefetch_distance) {
+/// OR the presence bit of c[u] for every u in `neighbors` into the 256-bit
+/// bitmap `words` (kPresenceWords words) — SignalScratch::sense's gather
+/// for the byte store, where every state is < 256 by construction. The
+/// scalar loop ORs into a local array by word index: selecting the word with
+/// compares instead compiles to branches that mispredict on every mixed
+/// neighborhood (several times slower on a random D = 16 AlgAU
+/// configuration). The AVX2 form is bit-identical.
+inline void accumulate_words(std::span<const graph::NodeId> neighbors,
+                             const std::uint8_t* c, std::uint64_t* words,
+                             unsigned prefetch_distance) {
   const graph::NodeId* nb = neighbors.data();
   const std::size_t deg = neighbors.size();
   std::size_t i = 0;
+  std::uint64_t acc_words[kPresenceWords] = {words[0], words[1], words[2],
+                                             words[3]};
+#if defined(__AVX2__)
   if (deg >= 8) {
+    // Eight byte states per gather, widened to 64-bit lanes; word w takes
+    // 1 << (q - 64w), which _mm256_sllv_epi64 zeroes whenever q lies outside
+    // word w (the shift count is >= 64, or negative and so wraps above 63).
     const __m256i low_byte = _mm256_set1_epi32(0xFF);
-    const __m256i limit = _mm256_set1_epi32(63);
-    __m256i acc = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi64x(1);
+    __m256i acc[kPresenceWords] = {};
     for (; i + 8 <= deg; i += 8) {
       const __m256i ids =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nb + i));
       const __m256i states = _mm256_and_si256(
           _mm256_i32gather_epi32(reinterpret_cast<const int*>(c), ids, 1),
           low_byte);
-      if (_mm256_movemask_epi8(_mm256_cmpgt_epi32(states, limit)) != 0) {
-        return false;
+      const __m256i lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(states));
+      const __m256i hi =
+          _mm256_cvtepu32_epi64(_mm256_extracti128_si256(states, 1));
+      for (std::size_t w = 0; w < kPresenceWords; ++w) {
+        const __m256i base =
+            _mm256_set1_epi64x(static_cast<long long>(64 * w));
+        acc[w] = _mm256_or_si256(
+            acc[w],
+            _mm256_or_si256(
+                _mm256_sllv_epi64(one, _mm256_sub_epi64(lo, base)),
+                _mm256_sllv_epi64(one, _mm256_sub_epi64(hi, base))));
       }
-      acc = detail::or_presence_bits(acc, states);
     }
-    mask |= detail::horizontal_or(acc);
+    for (std::size_t w = 0; w < kPresenceWords; ++w) {
+      acc_words[w] |= detail::horizontal_or(acc[w]);
+    }
   }
+#endif  // __AVX2__
   for (; i < deg; ++i) {
     if (prefetch_distance != 0 && i + prefetch_distance < deg) {
       prefetch(c + nb[i + prefetch_distance]);
     }
-    const StateId q = c[nb[i]];
-    if (q >= 64) return false;
-    mask |= std::uint64_t{1} << q;
+    const unsigned q = c[nb[i]];
+    acc_words[q >> 6] |= std::uint64_t{1} << (q & 63);
   }
-  return true;
+  for (std::size_t w = 0; w < kPresenceWords; ++w) words[w] = acc_words[w];
 }
-#endif  // __AVX2__
 
 }  // namespace ssau::core::simd

@@ -102,7 +102,9 @@ class AlgLe final : public core::Automaton {
 /// round, exactly one leader, and all nonzero identifier slots agree with the
 /// leader's. First-hit time of this predicate is the stabilization measure
 /// used by bench E5 (it is absorbing along real executions; the tests verify
-/// that empirically).
+/// that empirically). Every condition is over the multiset of states alone:
+/// `g` is ignored, so any id order of `c` — user ids from Engine::config()
+/// included — gives the same answer on any layout of the graph.
 [[nodiscard]] bool le_legitimate(const AlgLe& alg, const graph::Graph& g,
                                  const core::Configuration& c);
 

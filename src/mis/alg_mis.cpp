@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/layout_config.hpp"
 #include "util/strings.hpp"
 
 namespace ssau::mis {
@@ -260,42 +261,35 @@ std::string AlgMis::state_name(core::StateId q) const {
 
 bool mis_legitimate(const AlgMis& alg, const graph::Graph& g,
                     const core::Configuration& c) {
-  for (const core::StateId q : c) {
-    const MisState s = alg.decode(q);
-    if (s.mode != MisState::Mode::kIn && s.mode != MisState::Mode::kOut) {
-      return false;
-    }
-  }
   return mis_outputs_correct(alg, g, c);
 }
 
 bool mis_outputs_correct(const AlgMis& alg, const graph::Graph& g,
                          const core::Configuration& c) {
-  std::vector<bool> in(c.size());
-  for (core::NodeId v = 0; v < c.size(); ++v) {
-    const MisState s = alg.decode(c[v]);
-    if (s.mode != MisState::Mode::kIn && s.mode != MisState::Mode::kOut) {
-      return false;
+  return core::with_layout(g, c, [&](const auto& lc) {
+    const core::NodeId n = g.num_nodes();
+    std::vector<bool> in(n);
+    for (core::NodeId i = 0; i < n; ++i) {
+      const MisState s = alg.decode(lc[i]);
+      if (s.mode != MisState::Mode::kIn && s.mode != MisState::Mode::kOut) {
+        return false;
+      }
+      in[i] = s.mode == MisState::Mode::kIn;
     }
-    in[v] = s.mode == MisState::Mode::kIn;
-  }
-  // Independence.
-  for (const auto& [u, v] : g.edges()) {
-    if (in[u] && in[v]) return false;
-  }
-  // Maximality: every OUT node has an IN neighbor.
-  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in[v]) continue;
-    bool dominated = false;
-    for (const core::NodeId u : g.neighbors(v)) {
-      if (in[u]) {
+    // Independence (no IN neighbor of an IN node) and maximality (every OUT
+    // node has an IN neighbor), over the CSR adjacency.
+    for (core::NodeId i = 0; i < n; ++i) {
+      bool dominated = in[i];
+      for (const core::NodeId u : g.neighbors(i)) {
+        if (!in[u]) continue;
+        if (in[i]) return false;
         dominated = true;
         break;
       }
+      if (!dominated) return false;
     }
-    if (!dominated) return false;
-  }
-  return true;
+    return true;
+  });
 }
 
 core::Configuration mis_adversarial_configuration(const std::string& kind,

@@ -95,6 +95,12 @@ class AlgMis final : public core::Automaton {
 /// adjacent to an IN node (equivalently: IN maximal). Absorbing along real
 /// executions (IN/OUT states change only through Restart, and detection is
 /// sound).
+///
+/// Id spaces (both predicates): `c` is in USER id order — the order
+/// Engine::config() reports — whatever layout `g` has. On a reordered graph
+/// the check walks g's layout ids and reads each state through g.to_user
+/// (core/layout_config.hpp), so `mis_legitimate(alg, engine.graph(),
+/// engine.config())` is correct on a reordered engine.
 [[nodiscard]] bool mis_legitimate(const AlgMis& alg, const graph::Graph& g,
                                   const core::Configuration& c);
 

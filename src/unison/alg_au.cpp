@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 
 #include "graph/metrics.hpp"
@@ -10,74 +11,117 @@ namespace ssau::unison {
 
 AlgAu::AlgAu(int diameter_bound, AlgAuOptions options)
     : turns_(diameter_bound), options_(options) {
-  if (turns_.state_count() <= core::SignalView::kMaskBits) {
-    build_mask_tables();
+  const std::size_t words =
+      (turns_.state_count() + core::SignalView::kMaskBits - 1) /
+      core::SignalView::kMaskBits;
+  switch (words) {
+    case 1: build_guards<1>(); break;
+    case 2: build_guards<2>(); break;
+    case 3: build_guards<3>(); break;
+    case 4: build_guards<4>(); break;
+    default: return;  // |Q| > 256: the scalar level walk only
   }
+  words_ = words;
 }
 
-void AlgAu::build_mask_tables() {
+template <std::size_t W>
+void AlgAu::build_guards() {
   const core::StateId n = turns_.state_count();
-  mask_tables_.resize(n);
+  const auto set = [](auto& words, core::StateId s) {
+    words[s / 64] |= std::uint64_t{1} << (s % 64);
+  };
   for (core::StateId s = 0; s < n; ++s) {
-    if (turns_.is_faulty(s)) faulty_mask_ |= std::uint64_t{1} << s;
+    if (turns_.is_faulty(s)) set(faulty_words_, s);
   }
+  auto& table = std::get<W - 1>(guards_);
+  table.resize(n);
   for (core::StateId q = 0; q < n; ++q) {
-    TurnMasks& tm = mask_tables_[q];
+    TurnGuards<W>& tg = table[q];
     const Level l = turns_.level_of(q);
     const Level fwd = turns_.forward(l);
     for (core::StateId s = 0; s < n; ++s) {
       const Level sl = turns_.level_of(s);
-      const std::uint64_t bit = std::uint64_t{1} << s;
-      if (turns_.adjacent(l, sl)) tm.adjacent |= bit;
-      if (sl == l || sl == fwd) tm.in_step |= bit;
-      if (turns_.strictly_outwards(sl, l)) tm.outwards |= bit;
+      if (turns_.adjacent(l, sl)) set(tg.adjacent, s);
+      if (sl == l || sl == fwd) set(tg.in_step, s);
+      if (turns_.strictly_outwards(sl, l)) set(tg.outwards, s);
     }
-    if (turns_.is_able(q)) {
-      tm.aa_next = turns_.able_id(fwd);
-      tm.has_faulty_twin = turns_.has_faulty(l);
-      if (tm.has_faulty_twin) {
-        tm.af_next = turns_.faulty_id(l);
+    tg.able = turns_.is_able(q);
+    if (tg.able) {
+      tg.aa_next = turns_.able_id(fwd);
+      tg.has_faulty_twin = turns_.has_faulty(l);
+      if (tg.has_faulty_twin) {
+        tg.af_next = turns_.faulty_id(l);
         const Level inward = turns_.outwards(l, -1);
         if (turns_.has_faulty(inward)) {
-          tm.af_inward = std::uint64_t{1} << turns_.faulty_id(inward);
+          set(tg.af_inward, turns_.faulty_id(inward));
         }
       }
     } else {
-      tm.fa_next = turns_.able_id(turns_.outwards(l, -1));
+      tg.fa_next = turns_.able_id(turns_.outwards(l, -1));
     }
   }
 }
 
-core::StateId AlgAu::step_mask(core::StateId q, std::uint64_t mask,
-                               util::Rng& rng) const {
-  if (mask_tables_.empty()) return Automaton::step_mask(q, mask, rng);
-  const TurnMasks& tm = mask_tables_[q];
+template <std::size_t W>
+core::StateId AlgAu::step_words(core::StateId q,
+                                const std::uint64_t* sensed) const {
+  const TurnGuards<W>& tg = std::get<W - 1>(guards_)[q];
+  // Λ_v leaves the guard set `m` / Λ_v meets it, over all W words.
+  const auto outside = [sensed](const std::uint64_t* m) {
+    std::uint64_t x = 0;
+    for (std::size_t w = 0; w < W; ++w) x |= sensed[w] & ~m[w];
+    return x != 0;
+  };
+  const auto meets = [sensed](const std::uint64_t* m) {
+    std::uint64_t x = 0;
+    for (std::size_t w = 0; w < W; ++w) x |= sensed[w] & m[w];
+    return x != 0;
+  };
 
-  if (turns_.is_able(q)) {
+  if (tg.able) {
     // --- type AA: good (or merely protected under the ablation) and
     // Λ_v ⊆ {ℓ, φ(ℓ)} ------------------------------------------------------
-    const bool prot = (mask & ~tm.adjacent) == 0;
-    const bool good =
-        options_.aa_requires_good ? prot && (mask & faulty_mask_) == 0 : prot;
-    if (good && (mask & ~tm.in_step) == 0) return tm.aa_next;
+    const bool prot = !outside(tg.adjacent.data());
+    const bool good = options_.aa_requires_good
+                          ? prot && !meets(faulty_words_.data())
+                          : prot;
+    if (good && !outside(tg.in_step.data())) return tg.aa_next;
 
     // --- type AF (only levels with |ℓ| >= 2 have a faulty twin) ------------
-    if (tm.has_faulty_twin) {
-      if (!prot) return tm.af_next;
-      if (options_.af_inward_trigger && (mask & tm.af_inward) != 0) {
-        return tm.af_next;
+    if (tg.has_faulty_twin) {
+      if (!prot) return tg.af_next;
+      if (options_.af_inward_trigger && meets(tg.af_inward.data())) {
+        return tg.af_next;
       }
     }
     return q;
   }
 
   // --- type FA -------------------------------------------------------------
-  if (options_.fa_outward_guard && (mask & tm.outwards) != 0) return q;
-  return tm.fa_next;
+  if (options_.fa_outward_guard && meets(tg.outwards.data())) return q;
+  return tg.fa_next;
+}
+
+core::StateId AlgAu::step_mask(core::StateId q, std::uint64_t mask,
+                               util::Rng& rng) const {
+  if (words_ != 1) return Automaton::step_mask(q, mask, rng);
+  return step_words<1>(q, &mask);
 }
 
 core::StateId AlgAu::step_fast(core::StateId q, const core::SignalView& sig,
                                util::Rng& /*rng*/) const {
+  const std::span<const std::uint64_t> sensed = sig.words();
+  if (words_ != 0 && sensed.size() >= words_) {
+    // Sensed states all lie below |Q| <= 64 * words_, so any words past
+    // the first words_ are empty.
+    switch (words_) {
+      case 1: return step_words<1>(q, sensed.data());
+      case 2: return step_words<2>(q, sensed.data());
+      case 3: return step_words<3>(q, sensed.data());
+      default: return step_words<4>(q, sensed.data());
+    }
+  }
+
   const Level l = turns_.level_of(q);
 
   if (turns_.is_able(q)) {

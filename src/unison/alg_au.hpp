@@ -17,7 +17,10 @@
 // κ(ℓ) ∈ Z_{2k}.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -53,18 +56,24 @@ class AlgAu final : public core::Automaton {
   [[nodiscard]] std::int64_t output(core::StateId q) const override {
     return turns_.clock(turns_.level_of(q));
   }
+  /// δ over a sensed signal. When the view carries a presence bitmap
+  /// (SignalView::words(): every byte-store or dense-field sense) and
+  /// |Q| <= 256, i.e. D <= 20, every Table-1 guard is a W-word AND test
+  /// against precomputed per-turn tables, W = ceil(|Q| / 64). Views without
+  /// words (a wrapped Signal — the legacy oracle) and |Q| > 256 walk the
+  /// sensed levels instead; both routes give the same δ.
   [[nodiscard]] core::StateId step_fast(core::StateId q,
                                         const core::SignalView& sig,
                                         util::Rng& rng) const override;
-  /// Native bitmask δ: every Table-1 guard is a precomputed per-turn bitmask
-  /// test (protected / good / Λ_v ⊆ {ℓ, φ(ℓ)} / faulty-inward / Ψ>), so one
-  /// activation costs a handful of AND/compare ops. Built whenever
-  /// |Q| = 4k-2 <= 64, i.e. D <= 4; larger D falls back to the scalar path.
+  /// Native bitmask δ: the W = 1 case of the word kernel — protected / good /
+  /// Λ_v ⊆ {ℓ, φ(ℓ)} / faulty-inward / Ψ> are one AND/compare each. Native
+  /// when |Q| = 4k-2 <= 64, i.e. D <= 4; for larger D a mask (every sensed
+  /// state < 64) goes through step_fast.
   [[nodiscard]] core::StateId step_mask(core::StateId q, std::uint64_t mask,
                                         util::Rng& rng) const override;
   [[nodiscard]] bool deterministic() const override { return true; }
   [[nodiscard]] bool native_mask_kernel() const override {
-    return !mask_tables_.empty();
+    return words_ == 1;
   }
   /// Stateless δ over precomputed per-turn tables: safe to shard.
   [[nodiscard]] bool parallel_safe() const override { return true; }
@@ -90,23 +99,37 @@ class AlgAu final : public core::Automaton {
                                   const core::SignalView& sig) const;
 
  private:
-  /// Per-turn guard masks for the bitmask kernel (empty when |Q| > 64).
-  struct TurnMasks {
-    std::uint64_t adjacent = 0;     // turns whose level is adjacent to ours
-    std::uint64_t in_step = 0;      // turns with level in {ℓ, φ(ℓ)}
-    std::uint64_t af_inward = 0;    // the faulty turn at ψ_{-1}(ℓ), if any
-    std::uint64_t outwards = 0;     // turns with level in Ψ>(ℓ)
+  /// Table 1's guards for one turn as presence bitmaps over W words (bit s
+  /// of word s / 64 = turn s), plus the turn each rule moves to.
+  template <std::size_t W>
+  struct TurnGuards {
     core::StateId aa_next = 0;      // able φ(ℓ)
     core::StateId af_next = 0;      // faulty ℓ̂ (able turns with |ℓ| >= 2)
     core::StateId fa_next = 0;      // able ψ_{-1}(ℓ) (faulty turns)
+    bool able = false;
     bool has_faulty_twin = false;   // |ℓ| >= 2
+    std::array<std::uint64_t, W> adjacent{};   // levels adjacent to ours
+    std::array<std::uint64_t, W> in_step{};    // levels in {ℓ, φ(ℓ)}
+    std::array<std::uint64_t, W> af_inward{};  // faulty turn at ψ_{-1}(ℓ)
+    std::array<std::uint64_t, W> outwards{};   // levels in Ψ>(ℓ)
   };
-  void build_mask_tables();
+  /// The one table builder: fills the W-word tables and the faulty mask.
+  template <std::size_t W>
+  void build_guards();
+  /// Table 1 over the W-word presence bitmap `sensed`.
+  template <std::size_t W>
+  [[nodiscard]] core::StateId step_words(core::StateId q,
+                                         const std::uint64_t* sensed) const;
 
   TurnSystem turns_;
   AlgAuOptions options_;
-  std::vector<TurnMasks> mask_tables_;  // indexed by StateId
-  std::uint64_t faulty_mask_ = 0;       // all faulty turns
+  std::size_t words_ = 0;  // W = ceil(|Q| / 64); 0 when |Q| > 256
+  // Indexed by StateId; only the W-word table is filled.
+  std::tuple<std::vector<TurnGuards<1>>, std::vector<TurnGuards<2>>,
+             std::vector<TurnGuards<3>>, std::vector<TurnGuards<4>>>
+      guards_;
+  // All faulty turns; as wide as a byte-store sense (|Q| <= 256).
+  std::array<std::uint64_t, core::simd::kPresenceWords> faulty_words_{};
 };
 
 [[nodiscard]] std::string to_string(AlgAu::TransitionType t);

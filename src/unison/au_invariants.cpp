@@ -4,41 +4,13 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/layout_config.hpp"
+
 namespace ssau::unison {
 
 namespace {
 
-/// A user-ordered configuration (Engine::config()) read by g's layout ids:
-/// c[g.to_user(i)] on a reordered graph, plain c[i] on an identity layout
-/// (kReordered = false — the branch-free loop every non-reordered caller
-/// runs).
-template <bool kReordered>
-class LayoutConfig {
- public:
-  LayoutConfig(const graph::Graph& g, const core::Configuration& c)
-      : to_user_(g.inverse_permutation().data()), c_(c.data()) {}
-
-  core::StateId operator[](core::NodeId i) const {
-    if constexpr (kReordered) {
-      return c_[to_user_[i]];
-    } else {
-      return c_[i];
-    }
-  }
-
- private:
-  const core::NodeId* to_user_;
-  const core::StateId* c_;
-};
-
-/// The one place the predicates below pick their reader: runs body(lc) with
-/// the LayoutConfig matching g's layout.
-template <typename F>
-decltype(auto) with_layout(const graph::Graph& g, const core::Configuration& c,
-                           F&& body) {
-  if (g.reordered()) return body(LayoutConfig<true>(g, c));
-  return body(LayoutConfig<false>(g, c));
-}
+using core::with_layout;
 
 // The predicates proper, over layout id i and a LayoutConfig c.
 

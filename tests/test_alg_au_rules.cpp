@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "core/signal.hpp"
+#include "core/signal_view.hpp"
 
 namespace ssau::unison {
 namespace {
@@ -188,6 +193,92 @@ TEST_F(AlgAuRules, LocallyProtectedAndGood) {
   EXPECT_FALSE(alg_.locally_protected(q, sig({q, ts_.able_id(5)})));
   EXPECT_TRUE(alg_.locally_good(q, sig({q, ts_.able_id(4)})));
   EXPECT_FALSE(alg_.locally_good(q, sig({q, ts_.faulty_id(4)})));
+}
+
+// --- word kernel vs the scalar level walk -------------------------------------
+
+/// The δ of AlgAU(d) on signal `states` three ways: through a view carrying
+/// the exact ceil(|Q|/64)-word bitmap (a dense signal-field sense), through a
+/// view carrying four words (a byte-store sense), and through a view of a
+/// Signal, which has no words and so walks the sensed levels.
+void expect_word_paths_agree(const AlgAu& alg, core::StateId q,
+                             std::vector<core::StateId> states,
+                             util::Rng& rng) {
+  states.push_back(q);
+  const core::Signal signal = core::Signal::from_states(std::move(states));
+  const std::size_t exact = (alg.state_count() + 63) / 64;
+  std::vector<std::uint64_t> words(4, 0);
+  for (const core::StateId s : signal.states()) {
+    words[s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+  const core::SignalView scalar(signal);
+  ASSERT_TRUE(scalar.words().empty());
+  const core::StateId want = alg.step_fast(q, scalar, rng);
+  const core::SignalView field_like(
+      signal.states(), std::span<const std::uint64_t>(words.data(), exact));
+  const core::SignalView byte_like(signal.states(), words);
+  ASSERT_EQ(alg.step_fast(q, field_like, rng), want)
+      << "q=" << alg.state_name(q) << " |signal|=" << signal.states().size();
+  ASSERT_EQ(alg.step_fast(q, byte_like, rng), want)
+      << "q=" << alg.state_name(q) << " |signal|=" << signal.states().size();
+}
+
+// For every in-spec word width (W = 2, 2, 3, 4, 4) and all eight ablation
+// combinations: every (q, {s}) pair exhaustively, then random signals drawn
+// around q's level (where AA, AF and FA all fire) plus stray states.
+TEST(AlgAuWordKernel, MatchesScalarLevelWalk) {
+  util::Rng rng(97);
+  for (const int d : {5, 6, 11, 16, 20}) {
+    for (int bits = 0; bits < 8; ++bits) {
+      const AlgAuOptions options{.af_inward_trigger = (bits & 1) != 0,
+                                 .fa_outward_guard = (bits & 2) != 0,
+                                 .aa_requires_good = (bits & 4) != 0};
+      const AlgAu alg(d, options);
+      const TurnSystem& ts = alg.turns();
+      const core::StateId n = alg.state_count();
+      ASSERT_LE(n, 256u);
+      for (core::StateId q = 0; q < n; ++q) {
+        expect_word_paths_agree(alg, q, {}, rng);
+        for (core::StateId s = 0; s < n; ++s) {
+          expect_word_paths_agree(alg, q, {s}, rng);
+        }
+        std::vector<core::StateId> near;
+        for (core::StateId s = 0; s < n; ++s) {
+          const Level ls = ts.level_of(s), lq = ts.level_of(q);
+          if (ts.adjacent(lq, ls) || ts.adjacent(ts.forward(lq), ls)) {
+            near.push_back(s);
+          }
+        }
+        for (int trial = 0; trial < 12; ++trial) {
+          std::vector<core::StateId> picked;
+          const std::uint64_t size = 1 + rng.below(6);
+          for (std::uint64_t i = 0; i < size; ++i) {
+            picked.push_back(near[rng.below(near.size())]);
+          }
+          if (rng.below(3) == 0) picked.push_back(rng.below(n));
+          expect_word_paths_agree(alg, q, picked, rng);
+        }
+      }
+    }
+  }
+}
+
+// Beyond |Q| = 256 there are no word tables: D = 21 (|Q| = 258) ignores any
+// words a view might carry and walks the levels.
+TEST(AlgAuWordKernel, NoTablesPastTwoHundredFiftySixStates) {
+  EXPECT_TRUE(AlgAu(4).native_mask_kernel());
+  EXPECT_FALSE(AlgAu(5).native_mask_kernel());
+  EXPECT_EQ(AlgAu(20).state_count(), 246u);
+  EXPECT_EQ(AlgAu(21).state_count(), 258u);
+  const AlgAu alg(21);
+  const TurnSystem& ts = alg.turns();
+  util::Rng rng(3);
+  const core::StateId q = ts.able_id(2);
+  const core::Signal signal =
+      core::Signal::from_states({q, ts.able_id(3), ts.faulty_id(21)});
+  const std::uint64_t bogus[4] = {0, 0, 0, 0};
+  EXPECT_EQ(alg.step_fast(q, core::SignalView(signal.states(), bogus), rng),
+            alg.step_fast(q, core::SignalView(signal), rng));
 }
 
 // --- crafted adversarial configurations ---------------------------------------

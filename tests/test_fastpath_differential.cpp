@@ -75,8 +75,9 @@ TEST(FastPathDifferential, AlgAuEverySchedulerEveryAdversary) {
 }
 
 TEST(FastPathDifferential, AlgAuLargeDiameterSparsePath) {
-  // D = 5: |Q| = 66 > 64 -> the fast path uses the sorted-span SignalView
-  // (no bitmask, no table) and must still match exactly.
+  // D = 5: |Q| = 66 > 64 -> no 64-bit mask kernel; the fast path senses a
+  // two-word bitmap and steps on AlgAU's word kernel, and must still match
+  // exactly.
   const unison::AlgAu alg(5);
   util::Rng rng(13);
   const graph::Graph g = graph::cycle(10);
@@ -84,6 +85,25 @@ TEST(FastPathDifferential, AlgAuLargeDiameterSparsePath) {
       unison::au_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
     expect_identical_trajectories(g, alg, c0, sched_name, 103, 300);
+  }
+}
+
+// In-spec AlgAU past the mask kernel: D = 16 (|Q| = 198, four words) and
+// D = 20 (|Q| = 246, the widest word tables) sense byte stores into word
+// bitmaps and step on the word kernel; D = 21 (|Q| = 258) outgrows the byte
+// store, so it senses a wide store by sorting and walks the levels. All
+// three must match the legacy oracle exactly.
+TEST(FastPathDifferential, AlgAuWordKernelAndWideStore) {
+  for (const int d : {16, 20, 21}) {
+    const unison::AlgAu alg(d);
+    util::Rng rng(static_cast<std::uint64_t>(300 + d));
+    const graph::Graph g = graph::random_connected(40, 0.1, rng);
+    const core::Configuration c0 =
+        unison::au_adversarial_configuration("random", alg, g, rng);
+    for (const std::string& sched_name : all_scheduler_names()) {
+      expect_identical_trajectories(g, alg, c0, sched_name,
+                                    static_cast<std::uint64_t>(500 + d), 300);
+    }
   }
 }
 

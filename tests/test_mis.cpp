@@ -257,5 +257,39 @@ TEST(Mis, StabilizationScalesGentlyWithN) {
   EXPECT_LT(rounds.back(), 40.0 * rounds.front());
 }
 
+// mis_legitimate and mis_outputs_correct read a user-order configuration
+// through the graph's layout. On an engine whose graph a forced BFS reorder
+// relabelled in place, checking against engine.graph() must give the answer
+// the user-id graph gives, at every step: false while the run stabilises,
+// true once it has.
+TEST(Mis, LegitimacyAgreesOnAReorderedEngineGraph) {
+  util::Rng rng(2031);
+  const graph::Graph g0 = graph::random_connected(300, 6.0 / 300, rng);
+  const int diam = static_cast<int>(graph::diameter(g0));
+  const AlgMis alg({.diameter_bound = diam});
+  graph::Graph g = g0;
+  sched::SynchronousScheduler sched(g.num_nodes());
+  core::Engine engine(g, alg, sched,
+                      mis_adversarial_configuration("random", alg, g0, rng),
+                      31, core::EngineOptions{.reorder = core::ReorderMode::kBfs});
+  ASSERT_TRUE(engine.graph().reordered());
+
+  std::uint64_t steps = 0, legitimate_steps = 0;
+  const std::uint64_t budget = mis_budget(diam, g0.num_nodes());
+  while (steps < budget && legitimate_steps < 40) {
+    engine.step();
+    ++steps;
+    const core::Configuration& c = engine.config();
+    const bool on_layout = mis_legitimate(alg, engine.graph(), c);
+    ASSERT_EQ(on_layout, mis_legitimate(alg, g0, c)) << "step " << steps;
+    ASSERT_EQ(mis_outputs_correct(alg, engine.graph(), c),
+              mis_outputs_correct(alg, g0, c))
+        << "step " << steps;
+    if (on_layout) ++legitimate_steps;
+  }
+  EXPECT_EQ(legitimate_steps, 40u);
+  EXPECT_GT(steps, legitimate_steps);
+}
+
 }  // namespace
 }  // namespace ssau::mis

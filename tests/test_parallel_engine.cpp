@@ -302,13 +302,24 @@ TEST(ParallelEngine, AlgAuMaskKernelBitIdentical) {
 }
 
 TEST(ParallelEngine, AlgAuViewKernelBitIdentical) {
-  // D = 5 (|Q| = 66 > 64): the sorted-span SignalView path runs sharded.
+  // D = 5 (|Q| = 66 > 64): the two-word SignalView path runs sharded.
   const unison::AlgAu alg(5);
   util::Rng rng(43);
   const graph::Graph g = graph::random_connected(200, 0.02, rng);
   const core::Configuration c0 =
       unison::au_adversarial_configuration("random", alg, g, rng);
   expect_thread_count_invariance(g, alg, c0, "synchronous", 223, 40);
+}
+
+TEST(ParallelEngine, AlgAuWordKernelBitIdentical) {
+  // D = 16 (|Q| = 198, in spec): per-shard byte-store senses feed AlgAU's
+  // four-word kernel.
+  const unison::AlgAu alg(16);
+  util::Rng rng(45);
+  const graph::Graph g = graph::random_connected(400, 0.02, rng);
+  const core::Configuration c0 =
+      unison::au_adversarial_configuration("random", alg, g, rng);
+  expect_thread_count_invariance(g, alg, c0, "synchronous", 225, 40);
 }
 
 TEST(ParallelEngine, LazyMemoCompiledKernelBitIdentical) {

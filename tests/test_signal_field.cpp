@@ -42,13 +42,33 @@ std::uint32_t brute_count(const graph::Graph& g, const core::Configuration& c,
 
 /// Asserts the field equals a fresh rebuild of `c`: every counter, every
 /// presence bit, and the sense() output (span, mask, has_mask) against an
-/// independent SignalScratch rescan.
+/// independent SignalScratch rescan. A dense field's sense words must equal
+/// a byte-store rescan's, word for word, with no bit at or above |Q|.
 void expect_field_matches(const core::SignalField& field, const graph::Graph& g,
                           const core::Configuration& c,
                           core::StateId state_count) {
   core::SignalScratch rescan;
   std::vector<core::StateId> scratch;
+  std::vector<std::uint8_t> bytes(c.size() + core::simd::kByteStorePadding);
+  if (field.dense()) {
+    for (std::size_t v = 0; v < c.size(); ++v) {
+      bytes[v] = static_cast<std::uint8_t>(c[v]);
+    }
+  }
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (field.dense()) {
+      const auto words = field.sense(v, scratch).words();
+      ASSERT_EQ(words.size(), (state_count + 63) / 64) << "v=" << v;
+      core::SignalScratch byte_rescan;
+      const auto want = byte_rescan.sense(g, bytes.data(), v).words();
+      for (std::size_t w = 0; w < want.size(); ++w) {
+        ASSERT_EQ(w < words.size() ? words[w] : 0, want[w])
+            << "sense word " << w << " mismatch at v=" << v;
+      }
+      for (core::StateId q = state_count; q < 64 * words.size(); ++q) {
+        ASSERT_EQ((words[q / 64] >> (q % 64)) & 1u, 0u) << "v=" << v;
+      }
+    }
     for (core::StateId q = 0; q < state_count; ++q) {
       ASSERT_EQ(field.count_of(v, q), brute_count(g, c, v, q))
           << "v=" << v << " q=" << q;
@@ -99,6 +119,40 @@ TEST(SignalField, DenseMultiWordDeltaEqualsRebuild) {
   // 64 < |Q| <= kDenseStateLimit: multi-word presence bitmap, mask_exact
   // false, still the flat counter table.
   fuzz_transitions(/*state_count=*/130, /*rounds=*/400, /*seed=*/43);
+}
+
+TEST(SignalField, DenseWordsTrackTransitionsAndChurn) {
+  // |Q| = 198 (in-spec AlgAU at D = 16): four presence words per node. Random
+  // transitions interleaved with edge insertions and removals must keep the
+  // sense words equal to a rescan's.
+  constexpr core::StateId kQ = 198;
+  util::Rng rng(53);
+  graph::Graph g = graph::random_connected(24, 0.2, rng);
+  core::Configuration c(g.num_nodes());
+  for (auto& q : c) q = rng.below(kQ);
+  core::SignalField field(g, kQ, c);
+  ASSERT_TRUE(field.dense());
+  for (int i = 0; i < 600; ++i) {
+    const auto u = static_cast<core::NodeId>(rng.below(g.num_nodes()));
+    const auto v = static_cast<core::NodeId>(rng.below(g.num_nodes()));
+    switch (rng.below(3)) {
+      case 0: {
+        const core::StateId next = rng.below(kQ);
+        if (next == c[u]) continue;
+        field.apply_transition(u, c[u], next);
+        c[u] = next;
+        break;
+      }
+      case 1:
+        if (u != v && g.add_edge(u, v)) field.apply_edge_insertion(u, v, c[u], c[v]);
+        break;
+      default:
+        if (u != v && g.remove_edge(u, v)) field.apply_edge_removal(u, v, c[u], c[v]);
+        break;
+    }
+    if (i % 25 == 0) expect_field_matches(field, g, c, kQ);
+  }
+  expect_field_matches(field, g, c, kQ);
 }
 
 TEST(SignalField, SparseMultisetDeltaEqualsRebuild) {

@@ -1,9 +1,14 @@
 // Tests for the zero-allocation signal fast path: SignalView semantics vs
-// Signal, the SignalScratch bitmask/sparse construction paths, and
-// make_signal_view projections.
+// Signal, the SignalScratch word-bitmap (byte store) and sorted (wide store)
+// construction paths, and make_signal_view projections.
 #include "core/signal_view.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/signal.hpp"
 #include "graph/generators.hpp"
@@ -106,6 +111,82 @@ TEST(SignalScratch, RandomizedAgainstFromStates) {
       EXPECT_EQ(scratch.sense(g, c, v).materialize(), expected);
     }
   }
+}
+
+// Byte stores (every |Q| <= 256) sense through a four-word presence bitmap:
+// the view's span, words, mask and contains() must all agree with the Signal
+// oracle, on graphs with isolated nodes and with the word-boundary states
+// planted.
+TEST(SignalScratch, ByteStoreWordsMatchFromStates) {
+  util::Rng rng(71);
+  constexpr NodeId kN = 60;
+  constexpr NodeId kLinked = 48;  // nodes kLinked.. stay isolated
+  const StateId boundary[] = {63, 64, 127, 128, 191, 192, 255};
+  SignalScratch scratch;
+  for (const StateId q_count : {65u, 128u, 198u, 256u}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const double p = trial % 2 == 0 ? 0.05 : 0.35;
+      std::vector<std::pair<NodeId, NodeId>> edges;
+      for (NodeId u = 0; u < kLinked; ++u) {
+        for (NodeId v = u + 1; v < kLinked; ++v) {
+          if (rng.uniform01() < p) edges.emplace_back(u, v);
+        }
+      }
+      const graph::Graph g(kN, edges);
+      std::vector<std::uint8_t> c(kN + simd::kByteStorePadding);
+      for (NodeId v = 0; v < kN; ++v) {
+        c[v] = static_cast<std::uint8_t>(rng.below(q_count));
+      }
+      for (const StateId q : boundary) {
+        if (q < q_count) c[rng.below(kN)] = static_cast<std::uint8_t>(q);
+      }
+      for (NodeId v = 0; v < kN; ++v) {
+        std::vector<StateId> sensed{c[v]};
+        for (const NodeId u : g.neighbors(v)) sensed.push_back(c[u]);
+        const Signal expected = Signal::from_states(std::move(sensed));
+        const std::span<const StateId> want = expected.states();
+        const SignalView view = scratch.sense(g, c.data(), v);
+
+        // contains() first: a word view answers it before any unpack.
+        for (StateId q = 0; q < 300; ++q) {
+          ASSERT_EQ(view.contains(q),
+                    std::binary_search(want.begin(), want.end(), q))
+              << "|Q|=" << q_count << " v=" << v << " q=" << q;
+        }
+        ASSERT_EQ(view.materialize(), expected) << "|Q|=" << q_count << " v=" << v;
+        ASSERT_EQ(view.size(), want.size());
+        ASSERT_EQ(view.has_mask(), want.back() < 64);
+        if (view.has_mask()) {
+          ASSERT_EQ(view.mask(), SignalView(expected).mask());
+        }
+        std::uint64_t words[simd::kPresenceWords] = {};
+        for (const StateId q : want) words[q / 64] |= std::uint64_t{1} << (q % 64);
+        ASSERT_EQ(view.words().size(), simd::kPresenceWords);
+        for (std::size_t w = 0; w < simd::kPresenceWords; ++w) {
+          ASSERT_EQ(view.words()[w], words[w]) << "word " << w << " v=" << v;
+        }
+        for (StateId q = q_count; q < 256; ++q) {
+          ASSERT_EQ((view.words()[q / 64] >> (q % 64)) & 1u, 0u);
+        }
+      }
+    }
+  }
+}
+
+// A word view copied before its first states() call unpacks on its own, to
+// the same span.
+TEST(SignalScratch, ByteStoreViewCopiesUnpackAlike) {
+  const graph::Graph g = graph::star(6);
+  const std::vector<std::uint8_t> c{200, 3, 64, 3, 130, 255, 0, 0, 0, 0};
+  SignalScratch scratch;
+  const SignalView view = scratch.sense(g, c.data(), 0);
+  const SignalView copy = view;  // NOLINT(performance-unnecessary-copy-initialization)
+  const std::vector<StateId> want{3, 64, 130, 200, 255};
+  EXPECT_EQ(std::vector<StateId>(copy.states().begin(), copy.states().end()),
+            want);
+  EXPECT_EQ(std::vector<StateId>(view.states().begin(), view.states().end()),
+            want);
+  EXPECT_FALSE(view.has_mask());
 }
 
 TEST(MakeSignalView, SortsDedupsAndMasks) {

@@ -175,13 +175,14 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
       updates_.reserve(hint);
     }
 
-    // Signal-field routing: delta-maintained senses vs dense rescan. kAuto
-    // enables the field only in the serial-daemon regime — activation sets
-    // small enough that the sparse kernel never engages and most of the
-    // graph sits idle per step — on graphs whose neighborhoods are large
-    // enough that the per-sense rescan is worth replacing. |Q| routes the
-    // field's internal representation (flat saturating counters vs compact
-    // sorted multiset), not the on/off decision.
+    // Signal-field routing: delta-maintained senses vs dense rescan. The
+    // field is a cache of the serial asynchronous kernel, so no mode builds
+    // it where that kernel never runs (full-activation and sparse-eligible
+    // engines) or on a graph its counter table cannot hold. Within that,
+    // kAuto enables it only in the serial-daemon regime — activation sets
+    // small enough that most of the graph sits idle per step — on graphs
+    // whose neighborhoods are large enough that the per-sense rescan is
+    // worth replacing.
     // Mask-kernel automata sense in one OR-loop and step in O(1); their
     // rescan is so lean that delta maintenance needs an order of magnitude
     // more density to pay for its per-transition patches — and even then
@@ -201,15 +202,18 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
         const double degree_floor = cheap_sense
                                         ? kSignalFieldMaskKernelMinAvgDegree
                                         : kSignalFieldMinAvgDegree;
-        want_field = !full_activation_ && graph_.num_nodes() > 1 &&
+        want_field = graph_.num_nodes() > 1 &&
                      hint < options_.sparse_activation_threshold &&
                      hint * 2 <= graph_.num_nodes() &&
                      graph_.avg_degree() >= degree_floor;
         break;
       }
     }
-    if (want_field) {
-      field_ = build_field();
+    if (want_field && !full_activation_ && !sparse_eligible_ &&
+        SignalField::fits(graph_, automaton_.state_count())) {
+      // fits() implies |Q| <= 256, so the store is byte-per-node.
+      field_ = std::make_unique<SignalField>(graph_, automaton_.state_count(),
+                                             store_.bytes_data());
       // Only the heuristic's shakiest bet monitors itself: a kAuto field on
       // a mask-kernel automaton wins or loses purely on the (unknowable at
       // construction) transition rate, so it bails out mid-run if patching
@@ -258,15 +262,11 @@ graph::TopologyDelta Engine::apply_topology_delta(
   // presence of the other's CURRENT state (churn does not touch the
   // configuration, and the per-node reads never materialize a wide view).
   if (field_) {
-    if (field_->dense() && graph_.max_degree() + 1 >=
-                               static_cast<std::size_t>(SignalField::kSaturated)) {
-      // Degree growth reached the dense representation's saturation bound —
-      // a regime construction routes to the sparse multiset. Recreate the
-      // field so it re-routes; a from-scratch build here is the rare safety
-      // valve, not the churn fast path.
-      field_ = build_field();
-      field_stale_ = false;
-    } else if (!field_stale_) {
+    if (!SignalField::fits(graph_, automaton_.state_count())) {
+      // Degree growth reached the counter ceiling: no field can hold this
+      // graph, so the engine rescans from here on.
+      drop_field();
+    } else {
       for (const auto& [u, v] : applied.remove) {
         field_->apply_edge_removal(u, v, store_.get(u), store_.get(v));
       }
@@ -274,8 +274,6 @@ graph::TopologyDelta Engine::apply_topology_delta(
         field_->apply_edge_insertion(u, v, store_.get(u), store_.get(v));
       }
     }
-    // A stale field needs no patching: its pending lazy rebuild reads the
-    // live (already-patched) graph.
   }
 
   // Sense scratches must hold max_degree + 1 states; grow if churn raised it.
@@ -416,17 +414,9 @@ void Engine::step_synchronous() {
 template <typename T>
 void Engine::step_synchronous_serial(const T* cur, T* next) {
   const NodeId n = graph_.num_nodes();
-  // The synchronous kernel never *senses* through the signal field, but a
-  // live forced-on field must stay consistent across the step, so
-  // transitions patch it inline (deltas against the pre-step configuration
-  // commute, and nothing reads the field until the step is over). A stale
-  // field (post-injection) stays stale: no sync path will ever read it, so
-  // the rebuild is deferred to a future field sense that may never come —
-  // signal_field_stale() tells observability readers.
-  const bool patch_field = field_live();
   const unsigned pf = options_.prefetch_distance;
   if (mask_kernel_) {
-    if (dense_table_ != nullptr && !patch_field) {
+    if (dense_table_ != nullptr) {
       // Vectorized table application: the SIMD mask gather feeds one
       // devirtualized table load per node — no virtual δ dispatch, no rng
       // derivation (dense tables exist only for deterministic automata).
@@ -444,24 +434,14 @@ void Engine::step_synchronous_serial(const T* cur, T* next) {
     // bits and δ to one step_mask call (a table probe or native bit-ops).
     const Automaton& kernel = *stepper_;
     for (NodeId v = 0; v < n; ++v) {
-      const StateId curq = cur[v];
-      const StateId nextq = kernel.step_mask(
-          curq, neighborhood_mask(graph_, cur, v, pf), step_rng(v));
-      if (patch_field && nextq != curq) {
-        field_->apply_transition(v, curq, nextq);
-      }
-      next[v] = static_cast<T>(nextq);
+      next[v] = static_cast<T>(kernel.step_mask(
+          cur[v], neighborhood_mask(graph_, cur, v, pf), step_rng(v)));
       bump_act(v, act_saturated_);
     }
   } else {
     for (NodeId v = 0; v < n; ++v) {
       const SignalView sig = scratch_.sense(graph_, cur, v, pf);
-      const StateId curq = cur[v];
-      const StateId nextq = stepper_->step_fast(curq, sig, step_rng(v));
-      if (patch_field && nextq != curq) {
-        field_->apply_transition(v, curq, nextq);
-      }
-      next[v] = static_cast<T>(nextq);
+      next[v] = static_cast<T>(stepper_->step_fast(cur[v], sig, step_rng(v)));
       bump_act(v, act_saturated_);
     }
   }
@@ -493,14 +473,11 @@ void Engine::replay_sync(const T* cur, const T* next) {
 // of lockstep (bit-identity depends on them staying identical).
 template <typename T, typename NodeOf, typename Emit>
 void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
-                          std::vector<TransitionRec>& log,
-                          const bool log_transitions, const NodeOf& node_of,
-                          const Emit& emit) {
-  log.clear();
+                          const NodeOf& node_of, const Emit& emit) {
   const Automaton& kernel = *ws.stepper;
   const unsigned pf = options_.prefetch_distance;
   if (mask_kernel_) {
-    if (dense_table_ != nullptr && !log_transitions) {
+    if (dense_table_ != nullptr) {
       // Devirtualized table application (see step_synchronous_serial); the
       // eager table is immutable, so every shard probes the shared copy.
       const std::uint8_t* table = dense_table_;
@@ -515,24 +492,15 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
     }
     for (NodeId i = shard.begin; i < shard.end; ++i) {
       const NodeId v = node_of(i);
-      const StateId cur = cfg[v];
-      const StateId next = kernel.step_mask(
-          cur, neighborhood_mask(graph_, cfg, v, pf), shard_rng(ws, v));
-      if (log_transitions && next != cur) {
-        log.push_back({v, cur, next});
-      }
-      emit(i, v, next);
+      emit(i, v,
+           kernel.step_mask(cfg[v], neighborhood_mask(graph_, cfg, v, pf),
+                            shard_rng(ws, v)));
     }
   } else {
     for (NodeId i = shard.begin; i < shard.end; ++i) {
       const NodeId v = node_of(i);
       const SignalView sig = ws.scratch.sense(graph_, cfg, v, pf);
-      const StateId cur = cfg[v];
-      const StateId next = kernel.step_fast(cur, sig, shard_rng(ws, v));
-      if (log_transitions && next != cur) {
-        log.push_back({v, cur, next});
-      }
-      emit(i, v, next);
+      emit(i, v, kernel.step_fast(cfg[v], sig, shard_rng(ws, v)));
     }
   }
 }
@@ -558,21 +526,18 @@ void Engine::refresh_sync_shards() {
 // --- overlapped synchronous pipeline ----------------------------------------
 // One enqueued step = one phase-1 task per shard (deps: the previous step's
 // phase 1 over the shard's read frontier — see ShardFrontier for why that
-// interval covers both double-buffer hazards at any pipeline depth) plus,
-// when the field is live, one merge task (deps: all of this step's phase-1
-// tasks and the previous merge) draining the per-shard logs in shard-index
-// order. seq carries the pipeline position; its parity addresses the double
-// buffer (read store_ on even, next_store_ on odd) and the transition-log
-// pair. time_/rounds_ move only at flush: each synchronous step closes
-// exactly one round, so the flush adds the drained depth to both.
+// interval covers both double-buffer hazards at any pipeline depth). seq
+// carries the pipeline position; its parity addresses the double buffer
+// (read store_ on even, next_store_ on odd). time_/rounds_ move only at
+// flush: each synchronous step closes exactly one round, so the flush adds
+// the drained depth to both.
 
 template <typename T>
 void Engine::overlap_phase1_impl(const Shard& shard, unsigned shard_index,
-                                 std::uint64_t seq, const T* read, T* write) {
+                                 const T* read, T* write) {
   ShardWorkspace& ws = shard_ws_[shard_index];
   shard_phase1(
-      shard, ws, read, ws.transitions[seq & 1], overlap_logging_,
-      [](NodeId i) { return i; },
+      shard, ws, read, [](NodeId i) { return i; },
       [&](NodeId, NodeId v, StateId next) {
         write[v] = static_cast<T>(next);
         bump_act(v, ws.act_saturated);
@@ -586,59 +551,32 @@ void Engine::overlap_phase1_task(void* ctx, const Shard& shard,
   ConfigStore& read = odd ? e.next_store_ : e.store_;
   ConfigStore& write = odd ? e.store_ : e.next_store_;
   if (read.narrow()) {
-    e.overlap_phase1_impl(shard, shard_index, seq, read.bytes_data(),
+    e.overlap_phase1_impl(shard, shard_index, read.bytes_data(),
                           write.bytes_data());
   } else {
-    e.overlap_phase1_impl(shard, shard_index, seq, read.wide_data(),
+    e.overlap_phase1_impl(shard, shard_index, read.wide_data(),
                           write.wide_data());
   }
-}
-
-void Engine::overlap_merge_task(void* ctx, const Shard&, unsigned,
-                                std::uint64_t seq) {
-  Engine& e = *static_cast<Engine*>(ctx);
-  const auto apply_from = std::chrono::steady_clock::now();
-  for (const ShardWorkspace& ws : e.shard_ws_) {
-    e.field_->apply_transitions(ws.transitions[seq & 1].data(),
-                                ws.transitions[seq & 1].size());
-  }
-  e.apply_phase_ns_ += elapsed_ns(apply_from);
 }
 
 void Engine::enqueue_overlapped_step() {
   const unsigned shards = pool_->shard_count();
   if (overlap_depth_ == 0) {
     refresh_sync_shards();
-    // The field's liveness cannot change while the window is open (only
-    // step() runs between flushes), so one flag serves every task of it.
-    overlap_logging_ = field_live();
     prev_phase1_.assign(shards, ParallelEngine::kNoTask);
-    prev_merge_ = ParallelEngine::kNoTask;
-    prev2_merge_ = ParallelEngine::kNoTask;
   }
   const std::uint64_t seq = overlap_depth_;
   cur_phase1_.clear();
-  merge_deps_.clear();
   for (unsigned s = 0; s < shards; ++s) {
-    // Frontier deps on the previous step, plus merge(t-2) when logging:
-    // this step reuses the parity log that merge(t-2) reads.
-    merge_deps_.clear();
+    // Frontier deps on the previous step.
+    phase1_deps_.clear();
     const ShardFrontier& fr = sync_frontiers_[s];
     for (unsigned d = fr.lo; d <= fr.hi; ++d) {
-      merge_deps_.push_back(prev_phase1_[d]);
+      phase1_deps_.push_back(prev_phase1_[d]);
     }
-    if (overlap_logging_) merge_deps_.push_back(prev2_merge_);
     cur_phase1_.push_back(pool_->add_task(
         {&Engine::overlap_phase1_task, this}, sync_shards_[s], s, seq,
-        merge_deps_.data(), merge_deps_.size()));
-  }
-  if (overlap_logging_) {
-    merge_deps_ = cur_phase1_;
-    merge_deps_.push_back(prev_merge_);
-    prev2_merge_ = prev_merge_;
-    prev_merge_ =
-        pool_->add_task({&Engine::overlap_merge_task, this}, Shard{}, 0, seq,
-                        merge_deps_.data(), merge_deps_.size());
+        phase1_deps_.data(), phase1_deps_.size()));
   }
   prev_phase1_.swap(cur_phase1_);
   ++overlap_depth_;
@@ -687,13 +625,7 @@ void Engine::step_async() {
   // is unobservable in the trajectory.
   if (field_adaptive_ && field_senses_ >= kSignalFieldAdaptiveWindow) {
     if (field_patches_ * kSignalFieldPatchCostFactor > field_senses_) {
-      field_.reset();
-      field_adaptive_ = false;
-      field_stale_ = false;  // no field left for the flag to describe
-      // Dead counters would otherwise survive in snapshots and make a
-      // bailed engine's serialized state differ from its own restore.
-      field_senses_ = 0;
-      field_patches_ = 0;
+      drop_field();
     } else {
       field_senses_ = 0;
       field_patches_ = 0;
@@ -718,11 +650,9 @@ template <typename T>
 void Engine::async_phase1(const T* cfg) {
   if (field_) {
     // Field-sensed serial path — the signal-field fast path this layer
-    // exists for: an O(1) presence-mask lookup (or O(distinct) span) per
+    // exists for: an O(1) mask lookup (or an O(distinct) bitmap unpack) per
     // activation instead of an O(deg) neighborhood rescan; the matching
-    // per-transition patches run in the apply phase below. (The lazy field
-    // rebuild only reads the raw buffer `cfg` points into.)
-    ensure_field_fresh();
+    // per-transition patches run in the apply phase below.
     field_senses_ += active_.size();
     if (mask_kernel_ && field_->mask_exact()) {
       const Automaton& kernel = *stepper_;
@@ -777,20 +707,16 @@ void Engine::async_phase1(const T* cfg) {
 // arbitrary configuration slots — then drain their own span into the config
 // store, activation counters, and pending_ (disjoint elements: the
 // scheduler's distinct-ids contract, asserted below). The cross-shard
-// effects — signal-field patches from the per-shard logs, pending-count
-// accounting, and round-close detection — run in a serial merge in
-// shard-index order after the graph drains; spans are contiguous and
-// ascending, so shard-order concatenation IS activation-list order and the
-// merge matches the serial apply loop record for record (field_patches_
-// included, which snapshots serialize). Listener engines never get here
-// (step_async keeps them serial).
+// effects — pending-count accounting and round-close detection — run in a
+// serial merge in shard-index order after the graph drains. A
+// sparse-eligible engine owns no signal field, so nothing else needs
+// merging. Listener engines never get here (step_async keeps them serial).
 template <typename T>
 void Engine::sparse_phase1_impl(const Shard& shard, unsigned shard_index,
                                 const T* cfg) {
   ShardWorkspace& ws = shard_ws_[shard_index];
   shard_phase1(
-      shard, ws, cfg, ws.transitions[0], sparse_log_,
-      [&](NodeId i) { return active_[i]; },
+      shard, ws, cfg, [&](NodeId i) { return active_[i]; },
       [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
 }
 
@@ -844,7 +770,6 @@ void Engine::step_sparse_parallel() {
 
   // Task-graph path: phase-1 tasks (no deps), then per-shard apply tasks
   // dependent on all of them.
-  sparse_log_ = field_live();
   const auto shards = static_cast<unsigned>(sparse_shards_.size());
   cur_phase1_.clear();
   for (unsigned s = 0; s < shards; ++s) {
@@ -862,15 +787,7 @@ void Engine::step_sparse_parallel() {
   const auto apply_from = std::chrono::steady_clock::now();
   config_view_valid_ = false;
   std::uint64_t newly_done = 0;
-  for (unsigned s = 0; s < shards; ++s) {
-    const ShardWorkspace& ws = shard_ws_[s];
-    if (sparse_log_) {
-      field_->apply_transitions(ws.transitions[0].data(),
-                                ws.transitions[0].size());
-      field_patches_ += ws.transitions[0].size();
-    }
-    newly_done += ws.newly_done;
-  }
+  for (unsigned s = 0; s < shards; ++s) newly_done += shard_ws_[s].newly_done;
   pending_count_ -= newly_done;
   ++time_;
   if (pending_count_ == 0) {
@@ -911,19 +828,18 @@ void Engine::step_legacy() {
 }
 
 // Phase 2: apply simultaneously; advance round bookkeeping. A live signal
-// field is patched here from exactly the applied transitions — the single
-// spot all serial-apply engine paths (serial async, listener engines
-// included, and the legacy oracle, which never owns a field) flow through.
+// field is patched here from exactly the applied transitions — the one spot
+// the serial asynchronous kernel (listener engines included) lands its
+// updates through; the legacy oracle shares it but never owns a field.
 // Deliberately NOT timed into apply_phase_ns_: single-activation steps are
 // ~100ns, so a clock read per step here would tax the serial hot loop
-// measurably — apply_phase_ns_ instruments the parallel kernels only.
+// measurably — apply_phase_ns_ times the sparse kernel's serial merge only.
 void Engine::apply_updates_and_close_rounds() {
-  const bool patch_field = field_live();
   const std::size_t count = updates_.size();
   for (std::size_t i = 0; i < count; ++i) {
     const auto [v, q] = updates_.get(i);
     const StateId cur = store_.get(v);
-    if (patch_field && cur != q) {
+    if (field_ && cur != q) {
       field_->apply_transition(v, cur, q);
       ++field_patches_;
     }
@@ -1009,9 +925,9 @@ void Engine::inject_configuration(Configuration config) {
   }
   store_.reset(config, store_.narrow());
   config_view_valid_ = false;
-  // An arbitrary overwrite invalidates the delta-maintained field; it is
-  // rebuilt lazily at the next field sense.
-  field_stale_ = field_ != nullptr;
+  // An arbitrary overwrite invalidates every delta; the field is rebuilt
+  // here, and it only exists where the next step senses through it.
+  if (field_) field_->rebuild(store_.bytes_data());
 }
 
 void Engine::inject_state(NodeId v, StateId q) {
@@ -1023,9 +939,7 @@ void Engine::inject_state(NodeId v, StateId q) {
   // A targeted fault is still a (v, old -> new) delta: patch a live field
   // instead of discarding it (a no-op fault leaves it untouched).
   const StateId cur = store_.get(i);
-  if (field_live() && cur != q) {
-    field_->apply_transition(i, cur, q);
-  }
+  if (field_ && cur != q) field_->apply_transition(i, cur, q);
   store_.set(i, q);
   patch_config_view(i, q);
 }
@@ -1041,7 +955,7 @@ std::size_t Engine::dynamic_memory_usage() const {
       util::DynamicUsage(config_view_) +
       util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_) +
       util::DynamicUsage(sync_frontiers_) + util::DynamicUsage(prev_phase1_) +
-      util::DynamicUsage(cur_phase1_) + util::DynamicUsage(merge_deps_);
+      util::DynamicUsage(cur_phase1_) + util::DynamicUsage(phase1_deps_);
   if (compiled_) {
     total += sizeof(CompiledAutomaton) + compiled_->dynamic_memory_usage();
   }
@@ -1049,9 +963,7 @@ std::size_t Engine::dynamic_memory_usage() const {
   if (pool_) total += sizeof(ParallelEngine) + pool_->dynamic_memory_usage();
   total += shard_ws_.capacity() * sizeof(ShardWorkspace);
   for (const ShardWorkspace& ws : shard_ws_) {
-    total += util::DynamicUsage(ws.transitions[0]) +
-             util::DynamicUsage(ws.transitions[1]) +
-             ws.scratch.dynamic_memory_usage();
+    total += ws.scratch.dynamic_memory_usage();
     if (ws.compiled) {
       total += sizeof(CompiledAutomaton) + ws.compiled->dynamic_memory_usage();
     }
@@ -1088,12 +1000,13 @@ void Engine::save_state(util::BinaryWriter& w) const {
   // v2 drops v1's per-node rng block: randomized draws are derived from
   // (seed, node, activation count), all of which are already serialized.
 
-  // Signal field: presence + staleness + adaptive-routing counters. The
-  // field's counters themselves are NOT serialized — a restored engine's
+  // Signal field: presence + adaptive-routing counters. The field's
+  // counters themselves are NOT serialized — a restored engine's
   // constructor rebuilds them from the restored configuration, which is
-  // exactly what a live field contains.
+  // exactly what a live field contains. The v2 layout's staleness byte is
+  // kept and always 0: the field is rebuilt eagerly, never stale.
   w.u8(field_ ? 1 : 0);
-  w.u8(field_stale_ ? 1 : 0);
+  w.u8(0);
   w.u8(field_adaptive_ ? 1 : 0);
   w.u64(field_senses_);
   w.u64(field_patches_);
@@ -1174,7 +1087,10 @@ void Engine::load_state(util::BinaryReader& r, std::uint32_t version) {
   }
 
   const bool had_field = r.u8() != 0;
-  const bool was_stale = r.u8() != 0;
+  // Staleness byte: an older writer set it after an injection, but the
+  // field this engine's constructor rebuilt from the restored configuration
+  // is exactly what that lazy rebuild would have produced. Ignored.
+  static_cast<void>(r.u8());
   const bool was_adaptive = r.u8() != 0;
   const std::uint64_t senses = r.u64();
   const std::uint64_t patches = r.u64();
@@ -1185,23 +1101,19 @@ void Engine::load_state(util::BinaryReader& r, std::uint32_t version) {
     // are bit-identical, but the restored engine must make the SAME future
     // adaptive decisions as the original, which requires the same counters
     // on the same (absent) field.
-    field_.reset();
-    field_stale_ = false;
-    field_adaptive_ = false;
-    field_senses_ = 0;
-    field_patches_ = 0;
+    drop_field();
   } else if (field_) {
     // Construction already rebuilt the field from the restored
-    // configuration, which is what a live field holds; a stale field only
-    // needs the marker restored (the lazy rebuild runs at the next sense).
-    field_stale_ = was_stale;
+    // configuration, which is what a live field holds.
     field_adaptive_ = was_adaptive;
     field_senses_ = senses;
     field_patches_ = patches;
   }
   // had_field && !field_: the caller overrode options (e.g. restoring a
-  // kOn snapshot with kOff) — legitimate, the trajectory is identical on
-  // either sense path and no adaptive monitor exists to diverge.
+  // kOn snapshot with kOff), or an older writer kept a field where no
+  // current engine builds one (a kOn synchronous engine) — legitimate, the
+  // trajectory is identical on either sense path and no adaptive monitor
+  // exists to diverge.
 }
 
 Configuration random_configuration(const Automaton& alg, NodeId n,

@@ -28,21 +28,21 @@
 //   * under the serial-daemon regime — an asynchronous scheduler whose
 //     activation sets stay small — every sense on the serial per-activation
 //     path still rescans N+(v). The signal field replaces that rescan with a
-//     delta-maintained per-node presence mask / state multiset: initialized
-//     once from C_0, patched on every applied transition by updating only
-//     the transitioning node's neighbors, and read back as an O(1) mask (or
-//     O(distinct) span) per sense;
+//     delta-maintained per-node presence bitmap: initialized once from C_0,
+//     patched on every applied transition by updating only the
+//     transitioning node's neighbors, and read back as an O(1) mask (or an
+//     O(distinct) bitmap unpack) per sense;
+//   * it is a cache of the serial asynchronous kernel and of nothing else:
+//     it exists only on engines that are neither full-activation nor
+//     sparse-eligible, on graphs its counter table fits
+//     (SignalField::fits), so no other kernel ever has to keep it current;
 //   * routing is explicit: kAuto enables the field from the scheduler's
 //     max_activation_hint(), the graph's degree profile, and |Q| (see
-//     EngineOptions::signal_field); kOn forces maintenance on every fast
-//     path; kOff (and the legacy oracle) never touches it;
-//   * the sharded kernels keep the field consistent without sensing through
-//     it: the sparse-activation kernel patches it in its serial merge, the
-//     overlapped synchronous kernel in one merge task per step from the
-//     per-shard transition logs, and configuration injections
-//     invalidate it for a lazy rebuild at the next field sense — so the
-//     field-sensed trajectory is bit-identical to the rescan-sensed one at
-//     every thread count.
+//     EngineOptions::signal_field); kOn forces it wherever the serial
+//     asynchronous kernel runs; kOff (and the legacy oracle) never builds
+//     it;
+//   * configuration injections rebuild it at once, so the field-sensed
+//     trajectory is bit-identical to the rescan-sensed one at every step.
 // The legacy interpreted path (fast_path = false) builds an owning Signal via
 // Signal::from_states per activation and dispatches Automaton::step; it is
 // kept as the differential-testing oracle.
@@ -63,25 +63,20 @@
 //     read-after-write and write-after-read hazards of the parity-addressed
 //     double buffer), instead of after a global barrier. Steps are enqueued
 //     without bumping time_/rounds_; every observable accessor flushes the
-//     pipeline first, so the externally visible state is always exact. A
-//     live signal field adds one merge task per step (dependent on all of
-//     that step's shards and the previous merge) that drains the per-shard
-//     transition logs in shard-index order — the deterministic merge that
-//     keeps the field bit-identical to serial maintenance;
+//     pipeline first, so the externally visible state is always exact;
 //   * under an asynchronous daemon whose activation sets can get large
 //     (Scheduler::max_activation_hint() at or above
 //     EngineOptions::sparse_activation_threshold), any step with
 //     |A_t| >= that threshold runs BOTH phases sharded over contiguous
 //     degree-weighted index ranges of the activation list: phase-1 tasks
-//     write disjoint slots of the update list (and per-shard transition
-//     logs), then per-shard apply tasks — each dependent on every phase-1
-//     task, since phase 1 reads arbitrary configuration slots — drain their
-//     own span into disjoint config/activation-count/pending elements, and
-//     the engine finishes with a serial merge in shard-index order (field
-//     patches from the logs, pending-count/round-close detection: exactly
-//     the cross-shard effects that need a deterministic order). The
-//     scheduler draw itself stays serial, so the schedule is untouched;
-//     steps below the threshold run the serial apply path;
+//     write disjoint slots of the update list, then per-shard apply tasks —
+//     each dependent on every phase-1 task, since phase 1 reads arbitrary
+//     configuration slots — drain their own span into disjoint
+//     config/activation-count/pending elements, and the engine finishes
+//     with a serial merge in shard-index order (pending-count/round-close
+//     detection: exactly the cross-shard effects that need a deterministic
+//     order). The scheduler draw itself stays serial, so the schedule is
+//     untouched; steps below the threshold run the serial apply path;
 //   * single-node daemons (max_activation_hint() below the threshold) run
 //     the serial path regardless of thread_count and spawn no workers.
 //
@@ -98,12 +93,14 @@
 // Topology churn (Engine::apply_topology_delta):
 //   * the paper's §1 obstacle events — links failing and healing mid-run —
 //     are O(delta) in-place edits: the graph is patched through
-//     Graph::apply_delta, a live signal field is patched per effective edge,
+//     Graph::apply_delta, a live signal field is patched per effective edge
+//     (or dropped, when the churned graph no longer fits its counter table),
 //     sense scratches grow only when max_degree grew, the synchronous
 //     kernel's shard plan re-balances lazily at its next parallel step, and
 //     the scheduler is notified (WaveScheduler re-layers). Construction-time
-//     routing (field on/off, sparse eligibility, thread count) is not
-//     revisited — performance choices only, every path stays bit-identical;
+//     routing (sparse eligibility, thread count, field on/off beyond that
+//     drop) is not revisited — performance choices only, every path stays
+//     bit-identical;
 //   * requires the churn-capable constructor (non-const graph::Graph&);
 //     engines over const graphs keep the immutable contract.
 //
@@ -183,13 +180,11 @@ enum class SignalFieldMode : std::uint8_t {
   /// a full observation window shows patches outweighing the rescans saved
   /// (see kSignalFieldAdaptiveWindow). kOn never bails out.
   kAuto = 0,
-  /// Maintain the field on every fast-path engine regardless of the
-  /// heuristic (the differential-testing and forced-benchmark mode). The
-  /// legacy oracle still never uses it. One caveat: after an
-  /// inject_configuration, a full-activation engine's field stays stale
-  /// forever (nothing there ever senses through it, so the lazy rebuild
-  /// never triggers) — Engine::signal_field_stale() exposes this to
-  /// observability readers.
+  /// Force the field wherever the serial asynchronous kernel runs, whatever
+  /// the heuristic says (the differential-testing and forced-benchmark
+  /// mode): every fast-path engine that is neither full-activation nor
+  /// sparse-eligible, on a graph the field's counter table fits
+  /// (SignalField::fits). The legacy oracle still never uses it.
   kOn,
   /// Never build the field; every sense rescans the neighborhood.
   kOff,
@@ -576,20 +571,9 @@ class Engine {
   /// the heuristic the default applies).
   [[nodiscard]] bool signal_field_active() const { return field_ != nullptr; }
   /// The field itself, or nullptr when routing disabled it (observability
-  /// for tests and benches). Check signal_field_stale() before reading
-  /// counters out of it. Flushes the pipeline — overlapped merge tasks
-  /// patch the field in flight.
-  [[nodiscard]] const SignalField* signal_field() const {
-    ensure_flushed();
-    return field_.get();
-  }
-  /// True when an injection invalidated the field and no field sense has
-  /// rebuilt it yet. Serial asynchronous engines refresh on their next
-  /// sense; a full-activation engine never senses through the field, so a
-  /// forced-on field stays stale there indefinitely (its counters then
-  /// still describe the pre-injection configuration) — by design: rebuild
-  /// work is deferred to the paths that would actually read it.
-  [[nodiscard]] bool signal_field_stale() const { return field_stale_; }
+  /// for tests and benches). A live field always describes the current
+  /// configuration on the current graph.
+  [[nodiscard]] const SignalField* signal_field() const { return field_.get(); }
 
   /// Shard count of the parallel kernels (synchronous or sparse-activation),
   /// or 1 when the engine runs serial (thread_count 1, a daemon whose
@@ -607,9 +591,10 @@ class Engine {
     ensure_flushed();
     return pool_ ? pool_->barrier_wait_ns() : 0;
   }
-  /// Nanoseconds spent in the sharded kernels' phase-2 merge work — the
-  /// sparse kernel's serial merge and the overlapped kernel's field-merge
-  /// tasks (the serial apply path is not timed). Flushes the pipeline.
+  /// Nanoseconds spent in the sparse-activation kernel's serial merge (the
+  /// serial apply path is not timed, and the overlapped synchronous kernel
+  /// fuses its apply into the phase-1 tasks, so it reads 0 there). Flushes
+  /// the pipeline.
   [[nodiscard]] std::uint64_t apply_phase_ns() const {
     ensure_flushed();
     return apply_phase_ns_;
@@ -629,7 +614,8 @@ class Engine {
   /// follows incrementally:
   ///   * a live signal field is patched in O(1) per effective edge (the two
   ///     endpoints exchange presence of each other's current state) — no
-  ///     rebuild, and a stale field stays lazily-rebuilt-later;
+  ///     rebuild; churn that lifts the max degree out of SignalField::fits
+  ///     drops the field (and its adaptive counters), and the engine rescans;
   ///   * sense scratches grow when max_degree grew; the compiled-automaton
   ///     table/memo and per-node rng streams are untouched (they do not
   ///     depend on the topology);
@@ -637,9 +623,10 @@ class Engine {
   ///     next parallel step (the sparse kernel re-weighs every step anyway);
   ///   * the scheduler is notified via Scheduler::on_topology_change
   ///     (WaveScheduler recomputes its BFS layers).
-  /// Construction-time ROUTING decisions (signal-field on/off, sparse-kernel
-  /// eligibility, thread count) are deliberately not revisited — they are
-  /// performance choices, and every path stays bit-identical regardless.
+  /// Construction-time ROUTING decisions (sparse-kernel eligibility, thread
+  /// count, and the field's on/off apart from the fit drop above) are
+  /// deliberately not revisited — they are performance choices, and every
+  /// path stays bit-identical regardless.
   /// Time, rounds, pending-round bookkeeping, and activation counts carry
   /// across the event: churn is part of the run, not a restart.
   ///
@@ -670,7 +657,8 @@ class Engine {
   /// Serializes the engine's dynamic state — time, round bookkeeping,
   /// pending set, activation counts (always written as u64 regardless of the
   /// in-memory width), rng/sched-rng states, and the signal field's
-  /// presence/staleness/adaptive counters. Static state (graph, config,
+  /// presence and adaptive counters (plus the v2 layout's staleness byte,
+  /// always 0 — the field is rebuilt eagerly). Static state (graph, config,
   /// options, automaton identity, scheduler state) is framed separately by
   /// the snapshot layer. Writes the v2 layout: per-node rng streams are
   /// derived (see the RNG-discipline note), so no per-node block exists.
@@ -691,7 +679,6 @@ class Engine {
 
  private:
   struct ShardWorkspace;
-  using TransitionRec = Transition;  // core/signal_field.hpp
 
   void step_synchronous();
   void step_async();
@@ -700,8 +687,8 @@ class Engine {
   void apply_updates_and_close_rounds();
 
   // --- overlapped synchronous pipeline (see the header comment) -------------
-  /// Enqueues one synchronous step as frontier-dependent phase-1 tasks (plus
-  /// a field-merge task when the field is live) without waiting for it.
+  /// Enqueues one synchronous step as frontier-dependent phase-1 tasks
+  /// without waiting for it.
   void enqueue_overlapped_step();
   /// Drains the pipeline and settles time/round bookkeeping and buffer
   /// parity. No-op when nothing is enqueued.
@@ -715,8 +702,6 @@ class Engine {
   }
   static void overlap_phase1_task(void* ctx, const Shard& shard,
                                   unsigned shard_index, std::uint64_t seq);
-  static void overlap_merge_task(void* ctx, const Shard& shard,
-                                 unsigned shard_index, std::uint64_t seq);
   static void sparse_phase1_task(void* ctx, const Shard& shard,
                                  unsigned shard_index, std::uint64_t seq);
   static void sparse_apply_task(void* ctx, const Shard& shard,
@@ -725,25 +710,16 @@ class Engine {
   /// topology churn (and computes the frontiers on first use).
   void refresh_sync_shards();
 
-  /// Rebuilds the signal field from the current configuration if an
-  /// injection invalidated it — called before every field sense.
-  void ensure_field_fresh() {
-    if (field_stale_) {
-      store_.visit([&](const auto* c) { field_->rebuild(c); });
-      field_stale_ = false;
-    }
+  /// Drops the signal field with its adaptive-routing state: the adaptive
+  /// bail-out and churn past SignalField::fits. The counters go too — dead
+  /// ones would survive in snapshots and make this engine's serialized state
+  /// differ from its own restore's.
+  void drop_field() {
+    field_.reset();
+    field_adaptive_ = false;
+    field_senses_ = 0;
+    field_patches_ = 0;
   }
-
-  /// A fresh signal field over the current store (raw array, no wide copy).
-  [[nodiscard]] std::unique_ptr<SignalField> build_field() const {
-    return store_.visit([&](const auto* c) {
-      return std::make_unique<SignalField>(graph_, automaton_.state_count(), c);
-    });
-  }
-
-  /// True when the field exists and reflects the current configuration
-  /// (i.e. applied transitions must patch it to keep it that way).
-  [[nodiscard]] bool field_live() const { return field_ && !field_stale_; }
 
   /// Fast-path listener dispatch for internal node v moving from -> to in
   /// the step about to land: senses v over the current (pre-step) store,
@@ -773,19 +749,17 @@ class Engine {
   /// the element type so the byte-compact and wide storage modes share one
   /// body), mapping indices to nodes via `node_of` (identity for the
   /// synchronous kernel, the activation list for the sparse kernel) and
-  /// handing results to
-  /// `emit(i, v, next)` (double-buffer slot vs update-list slot). Logs
-  /// transitions into `log` when `log_transitions`.
+  /// handing results to `emit(i, v, next)` (double-buffer slot vs
+  /// update-list slot).
   template <typename T, typename NodeOf, typename Emit>
   void shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
-                    std::vector<TransitionRec>& log, bool log_transitions,
                     const NodeOf& node_of, const Emit& emit);
 
   template <typename T>
   void step_synchronous_serial(const T* cur, T* next);
   template <typename T>
   void overlap_phase1_impl(const Shard& shard, unsigned shard_index,
-                           std::uint64_t seq, const T* read, T* write);
+                           const T* read, T* write);
   template <typename T>
   void sparse_phase1_impl(const Shard& shard, unsigned shard_index,
                           const T* cfg);
@@ -910,12 +884,6 @@ class Engine {
   // Sharded kernel state (null / empty when running serial).
   struct ShardWorkspace {
     SignalScratch scratch;
-    // Two logs, addressed by step parity: the overlapped kernel lets
-    // phase 1 of step t+1 start (and clear its log) while the merge task of
-    // step t still drains step t's — one log per parity keeps them apart
-    // (phase 1 of step t+2 depends on merge(t), so depth never exceeds the
-    // two buffers). The sparse kernel uses index 0 only.
-    std::vector<TransitionRec> transitions[2];
     // Lazy-memo compiled kernels are single-threaded; each shard gets its own
     // instance (dense tables are immutable after construction and shared).
     // Safe under work stealing too: tasks touching one shard's workspace are
@@ -956,26 +924,17 @@ class Engine {
   // even and next_store_ when odd (no per-step swap — the flush swaps once
   // if the depth was odd).
   unsigned overlap_depth_ = 0;
-  bool overlap_logging_ = false;      // field live this window: merge tasks run
   std::vector<ParallelEngine::TaskId> prev_phase1_;  // last step, per shard
   std::vector<ParallelEngine::TaskId> cur_phase1_;   // scratch for this step
-  std::vector<ParallelEngine::TaskId> merge_deps_;   // scratch: dep lists
-  ParallelEngine::TaskId prev_merge_ = ParallelEngine::kNoTask;
-  ParallelEngine::TaskId prev2_merge_ = ParallelEngine::kNoTask;
-  // Sparse-kernel task context (set per sharded async step; read by tasks).
-  bool sparse_log_ = false;
-  // Phase-2 apply/merge time, accumulated on whichever thread runs the
-  // merge (overlap merge tasks are chained, and every reader flushes, so
-  // the counter is race-free).
+  std::vector<ParallelEngine::TaskId> phase1_deps_;  // scratch: one dep list
+  // The sparse kernel's serial-merge time (stepping thread only).
   std::uint64_t apply_phase_ns_ = 0;
 
-  // Delta-maintained signal field (null when routing disabled it). The
-  // field is patched wherever updates are applied serially, patched from
-  // the per-shard logs by the sharded kernels' merges, and marked
-  // stale (for a lazy rebuild at the next field sense) by injections.
+  // Delta-maintained signal field (null when routing disabled it): patched
+  // wherever the serial apply path lands updates and per edge on churn,
+  // rebuilt at once by configuration injections.
   std::unique_ptr<SignalField> field_;
-  bool field_stale_ = false;
-  std::vector<StateId> field_scratch_;  // dense-mode sense unpack buffer
+  std::vector<StateId> field_scratch_;  // sense unpack buffer
   // Adaptive routing (kAuto on a mask-kernel automaton only): senses and
   // patches observed this window; the field self-disables at a window
   // boundary when patching outweighs the rescans saved.
@@ -1013,7 +972,7 @@ class Engine {
 
   // config()'s user-id-order copy of the store (every store except a wide
   // one on an identity layout, which config() returns directly). It follows
-  // the signal field's patch-or-invalidate rule: serial writes
+  // a patch-or-invalidate rule: serial writes
   // (apply_updates_and_close_rounds, inject_state) patch the one changed
   // entry while it is valid; raw writes (the synchronous swap, serial,
   // sharded and overlapped; the sparse parallel apply;

@@ -7,7 +7,7 @@
 //   * 64-bit mask (has_mask()) — every sensed StateId is < 64, which covers
 //     AlgAU's Z_{2k} clocks for D <= 4 and all the small baselines;
 //   * word bitmap (words()) — bit q of word q / 64, for 64 < |Q| <= 256:
-//     every byte-store sense and every dense signal-field sense carries one,
+//     every byte-store sense and every signal-field sense carries one,
 //     so in-spec AlgAU for D <= 20 and the D = 2 MIS/LE automata sense
 //     without sorting and test membership in O(1); a byte-store view unpacks
 //     its sorted span only when states() is first asked for;

@@ -17,13 +17,16 @@
 //     freshly constructed SignalField(graph, |Q|, config).
 //
 // The matrix: AU + MIS + LE x all 8 schedulers x threads {1, 2, 4, 8}, with
-// the signal field forced on and a tiny sparse threshold so the large-set
-// daemons route through the sharded sparse-activation kernel mid-churn.
-// Dense AND sparse field representations are churned, as is a delta applied
-// while the field is stale (pending its post-injection lazy rebuild).
+// the signal field forced on (it exists wherever the serial asynchronous
+// kernel runs) and a tiny sparse threshold so the large-set daemons route
+// through the sharded sparse-activation kernel mid-churn. Also churned: a
+// delta right after a configuration injection (the field rebuilt at once),
+// and a delta that lifts the max degree past the field's counter ceiling
+// (the field is dropped).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +34,7 @@
 #include "core/adversary.hpp"
 #include "core/engine.hpp"
 #include "core/signal_field.hpp"
+#include "core/snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "le/alg_le.hpp"
@@ -38,10 +42,19 @@
 #include "sched/scheduler.hpp"
 #include "sync/simple_sync_algs.hpp"
 #include "unison/alg_au.hpp"
+#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace ssau {
 namespace {
+
+/// A field over `g` initialized from the configuration `c` (every field has
+/// |Q| <= 256, so it reads a byte store).
+core::SignalField make_field(const graph::Graph& g, core::StateId state_count,
+                             const core::Configuration& c) {
+  const std::vector<std::uint8_t> bytes(c.begin(), c.end());
+  return {g, state_count, bytes.data()};
+}
 
 std::vector<std::string> all_scheduler_names() {
   std::vector<std::string> names = sched::async_scheduler_names();
@@ -105,7 +118,11 @@ void expect_churn_matches_oracle(const graph::Graph& base,
                         .signal_field = core::SignalFieldMode::kOn});
   core::Engine legacy(legacy_g, alg, *legacy_sched, initial, seed,
                       core::EngineOptions{.fast_path = false});
-  ASSERT_TRUE(fast.signal_field_active());
+  // The field exists exactly where the serial asynchronous kernel runs.
+  ASSERT_EQ(fast.signal_field_active(),
+            !fast_sched->full_activation() &&
+                (threads == 1 || fast_sched->max_activation_hint() < 2))
+      << sched_name << " threads=" << threads;
 
   const std::vector<graph::TopologyDelta> script =
       make_churn_script(base, events, seed + 1);
@@ -180,77 +197,73 @@ TEST(ChurnDifferential, AlgLeAllSchedulersAllThreadCounts) {
   }
 }
 
-TEST(ChurnDifferential, SparseFieldRepresentationUnderChurn) {
-  // |Q| > kDenseStateLimit routes the field to the sorted-multiset
-  // representation; edge churn must patch that representation too.
-  const sync::MinPropagation alg(core::SignalField::kDenseStateLimit + 50);
-  util::Rng rng(337);
-  const graph::Graph g = graph::damaged_clique(16, 0.2, rng);
-  const core::Configuration c0 =
-      core::random_configuration(alg, g.num_nodes(), rng);
-  {
-    graph::Graph probe = g;
-    auto sched = sched::make_scheduler("uniform-single", probe);
-    core::Engine e(probe, alg, *sched, c0, 347,
-                   core::EngineOptions{
-                       .signal_field = core::SignalFieldMode::kOn});
-    ASSERT_TRUE(e.signal_field_active());
-    ASSERT_FALSE(e.signal_field()->dense());
-  }
-  for (const char* sched_name : {"uniform-single", "burst", "wave"}) {
-    expect_churn_matches_oracle(g, alg, c0, sched_name, 1, 349,
-                                /*steps_per_segment=*/100, /*events=*/5);
-  }
-}
-
-TEST(ChurnDifferential, DeltaCrossesTheDenseSparseFieldBoundary) {
-  // The dense representation requires max_degree + 1 < kSaturated (a counter
-  // is bounded by deg + 1). A hub one edge below that bound churns ACROSS
-  // the boundary: the engine must recreate the field (construction re-routes
-  // to the sparse multiset) and the trajectory must not notice. The heal
-  // back below the bound is applied too (the representation stays sparse —
-  // recreation is a one-way safety valve, which is fine: it is routing, not
-  // semantics).
+TEST(ChurnDifferential, DeltaPastTheCounterCeilingDropsTheField) {
+  // The field needs max_degree + 1 < kSaturated (a counter is bounded by
+  // deg + 1). A hub one edge below that bound churns ACROSS it: the engine
+  // drops the field together with its adaptive counters, exactly as the
+  // adaptive bail-out does, and rescans from then on. The trajectory must
+  // not notice (a kOff twin is the reference), and the serialized state
+  // must equal a restore's, which builds no field on the churned graph. The
+  // heal back below the bound does not bring the field back — the drop is
+  // routing, not semantics.
   const core::NodeId n = core::SignalField::kSaturated;  // 65535 nodes
   std::vector<std::pair<graph::NodeId, graph::NodeId>> spokes;
   for (core::NodeId v = 1; v + 1 < n; ++v) spokes.emplace_back(0, v);
-  graph::Graph fast_g(n, spokes);   // hub degree n-2: one below the bound
-  graph::Graph legacy_g = fast_g;
-  ASSERT_EQ(fast_g.max_degree() + 2, core::SignalField::kSaturated);
+  graph::Graph on_g(n, spokes);  // hub degree n-2: one below the bound
+  graph::Graph off_g = on_g;
+  ASSERT_EQ(on_g.max_degree() + 2, core::SignalField::kSaturated);
 
   const sync::MinPropagation alg(8);
   core::Configuration c0(n);
   util::Rng rng(431);
   for (auto& q : c0) q = rng.below(alg.state_count());
-  auto fast_sched = sched::make_scheduler("uniform-single", fast_g);
-  auto legacy_sched = sched::make_scheduler("uniform-single", legacy_g);
-  core::Engine fast(fast_g, alg, *fast_sched, c0, 433,
-                    core::EngineOptions{
-                        .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(legacy_g, alg, *legacy_sched, c0, 433,
-                      core::EngineOptions{.fast_path = false});
-  ASSERT_TRUE(fast.signal_field_active());
-  ASSERT_TRUE(fast.signal_field()->dense());
+  auto on_sched = sched::make_scheduler("uniform-single", on_g);
+  auto off_sched = sched::make_scheduler("uniform-single", off_g);
+  core::Engine on(on_g, alg, *on_sched, c0, 433,
+                  core::EngineOptions{
+                      .signal_field = core::SignalFieldMode::kOn});
+  core::Engine off(off_g, alg, *off_sched, c0, 433,
+                   core::EngineOptions{
+                       .signal_field = core::SignalFieldMode::kOff});
+  ASSERT_TRUE(on.signal_field_active());
+  ASSERT_FALSE(off.signal_field_active());
 
   auto lockstep = [&](int steps) {
     for (int s = 0; s < steps; ++s) {
-      fast.step();
-      legacy.step();
-      ASSERT_EQ(fast.config(), legacy.config()) << "step " << s;
+      on.step();
+      off.step();
+      ASSERT_EQ(on.config(), off.config()) << "step " << s;
     }
   };
   lockstep(30);
   const graph::TopologyDelta grow{.remove = {},
                                   .add = {{0, static_cast<graph::NodeId>(
                                                   n - 1)}}};
-  fast.apply_topology_delta(grow);
-  legacy.apply_topology_delta(grow);
-  ASSERT_EQ(fast_g.max_degree() + 1, core::SignalField::kSaturated);
-  EXPECT_FALSE(fast.signal_field()->dense());  // recreated across the boundary
+  on.apply_topology_delta(grow);
+  off.apply_topology_delta(grow);
+  ASSERT_EQ(on_g.max_degree() + 1, core::SignalField::kSaturated);
+  EXPECT_FALSE(on.signal_field_active());
   lockstep(30);
-  fast.apply_topology_delta(grow.inverse());
-  legacy.apply_topology_delta(grow.inverse());
+
+  const auto state_bytes = [](const core::Engine& e) {
+    util::BinaryWriter w;
+    e.save_state(w);
+    return w.buffer();
+  };
+  EXPECT_EQ(state_bytes(on), state_bytes(off));
+  const std::vector<std::uint8_t> snap = core::snapshot::save(on);
+  graph::Graph restored_g = core::snapshot::restore_graph(snap);
+  auto restored_sched = sched::make_scheduler("uniform-single", restored_g);
+  const auto restored =
+      core::snapshot::restore(snap, restored_g, alg, *restored_sched);
+  EXPECT_FALSE(restored->signal_field_active());
+  EXPECT_EQ(state_bytes(on), state_bytes(*restored));
+
+  on.apply_topology_delta(grow.inverse());
+  off.apply_topology_delta(grow.inverse());
   lockstep(30);
+  EXPECT_FALSE(on.signal_field_active());
+  EXPECT_EQ(on.activation_count(0), off.activation_count(0));
 }
 
 // --- fresh-rebuild state oracle ----------------------------------------------
@@ -279,9 +292,9 @@ TEST(ChurnStateOracle, DerivedStateEqualsFreshBuildAfterEveryDelta) {
     engine.apply_topology_delta(delta);
 
     // Field state == fresh SignalField(churned graph, |Q|, current config).
-    const core::SignalField fresh(g, alg.state_count(), engine.config());
+    const core::SignalField fresh = make_field(g, alg.state_count(),
+                                               engine.config());
     const core::SignalField& live = *engine.signal_field();
-    ASSERT_FALSE(engine.signal_field_stale());
     for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
       for (core::StateId q = 0; q < alg.state_count(); ++q) {
         ASSERT_EQ(live.count_of(v, q), fresh.count_of(v, q))
@@ -305,12 +318,12 @@ TEST(ChurnStateOracle, DerivedStateEqualsFreshBuildAfterEveryDelta) {
   }
 }
 
-TEST(ChurnStateOracle, DeltaWhileFieldStaleRebuildsAgainstChurnedGraph) {
-  // inject_configuration marks the field stale; a topology delta applied in
-  // that window must NOT patch the stale counters — the lazy rebuild at the
-  // next sense reads the churned graph and must land on fresh-build state,
-  // and the continued run must track an oracle given the same injection +
-  // delta sequence.
+TEST(ChurnStateOracle, DeltaAfterInjectionPatchesTheRebuiltField) {
+  // inject_configuration rebuilds the field at once; a topology delta right
+  // after it patches the rebuilt counters. Both right after the injection
+  // and after the delta the live field must equal a fresh build, and the
+  // continued run must track an oracle given the same injection + delta
+  // sequence.
   const unison::AlgAu alg(2);
   util::Rng rng(367);
   graph::Graph fast_g = graph::damaged_clique(16, 0.2, rng);
@@ -337,24 +350,26 @@ TEST(ChurnStateOracle, DeltaWhileFieldStaleRebuildsAgainstChurnedGraph) {
       ASSERT_EQ(fast.config(), legacy.config()) << "step " << s;
     }
   };
+  const auto expect_fresh = [&] {
+    const core::SignalField fresh =
+        make_field(fast_g, alg.state_count(), fast.config());
+    for (core::NodeId v = 0; v < fast_g.num_nodes(); ++v) {
+      for (core::StateId q = 0; q < alg.state_count(); ++q) {
+        ASSERT_EQ(fast.signal_field()->count_of(v, q), fresh.count_of(v, q))
+            << "v=" << v << " q=" << q;
+      }
+    }
+  };
   lockstep(50);
   fast.inject_configuration(mid);
   legacy.inject_configuration(mid);
-  EXPECT_TRUE(fast.signal_field_stale());
+  expect_fresh();
 
   const auto script = make_churn_script(base, 1, 379);
   fast.apply_topology_delta(script[0]);
   legacy.apply_topology_delta(script[0]);
-  EXPECT_TRUE(fast.signal_field_stale());  // stale field is not patched
+  expect_fresh();
 
-  lockstep(1);  // first field sense: lazy rebuild against the churned graph
-  EXPECT_FALSE(fast.signal_field_stale());
-  const core::SignalField fresh(fast_g, alg.state_count(), fast.config());
-  for (core::NodeId v = 0; v < fast_g.num_nodes(); ++v) {
-    for (core::StateId q = 0; q < alg.state_count(); ++q) {
-      ASSERT_EQ(fast.signal_field()->count_of(v, q), fresh.count_of(v, q));
-    }
-  }
   lockstep(60);
   ASSERT_EQ(fast.rounds_completed(), legacy.rounds_completed());
 }

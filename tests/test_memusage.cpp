@@ -134,27 +134,28 @@ TEST(DynamicUsage, UpdateListPackedHalvesTheSlotCost) {
   EXPECT_GT(wide.dynamic_memory_usage(), packed.dynamic_memory_usage());
 }
 
-// --- signal field representations --------------------------------------------
+// --- signal field -------------------------------------------------------------
 
-TEST(DynamicUsage, SignalFieldDenseAndSparseAreBothAccounted) {
+TEST(DynamicUsage, SignalFieldCounterTableIsAccounted) {
   util::Rng rng(13);
   const graph::Graph g = graph::random_connected(200, 0.1, rng);
+  const std::vector<std::uint8_t> c(200, 1);
 
-  // Dense: small |Q| -> n * |Q| uint16 counter table dominates.
-  const core::Configuration dense_c(200, 1);
-  const core::SignalField dense(g, /*state_count=*/8, dense_c);
-  EXPECT_GE(dense.dynamic_memory_usage(),
-            200 * 8 * sizeof(std::uint16_t));
+  // One word of presence bits per node up to |Q| = 64: the n * |Q| uint16
+  // counter table plus n words.
+  const core::SignalField narrow(g, /*state_count=*/8, c.data());
+  EXPECT_GE(narrow.dynamic_memory_usage(),
+            200 * (8 * sizeof(std::uint16_t) + sizeof(std::uint64_t)));
 
-  // Sparse: |Q| over the dense limit -> multiset representation, far below
-  // what a dense table over the same space would commit.
-  const core::Configuration sparse_c(200, 1);
-  const core::SignalField sparse(
-      g, /*state_count=*/core::SignalField::kDenseStateLimit * 64, sparse_c);
-  EXPECT_GT(sparse.dynamic_memory_usage(), 0u);
-  EXPECT_LT(sparse.dynamic_memory_usage(),
-            200 * core::SignalField::kDenseStateLimit * 64 *
-                sizeof(std::uint16_t));
+  // |Q| = 256, the largest table a field is built for: four presence words
+  // per node.
+  const core::SignalField wide(g, core::SignalField::kDenseStateLimit,
+                               c.data());
+  EXPECT_GE(wide.dynamic_memory_usage(),
+            200 * (core::SignalField::kDenseStateLimit *
+                       sizeof(std::uint16_t) +
+                   4 * sizeof(std::uint64_t)));
+  EXPECT_GT(wide.dynamic_memory_usage(), narrow.dynamic_memory_usage());
 }
 
 // --- whole-engine roll-up -----------------------------------------------------

@@ -1,12 +1,14 @@
 // The signal-field layer (core/signal_field.hpp): unit-level equivalence of
-// delta maintenance to a fresh rebuild, engine routing policy, and the
-// differential suite pinning the field-sensed engine bit-identical to the
-// legacy interpreted oracle for AU + MIS + LE across ALL eight schedulers
-// (including burst and permutation, which have no golden-trace coverage) at
-// thread counts {1, 2, 4, 8} — configurations, rounds, activation counts,
-// and listener streams.
+// delta maintenance to a fresh rebuild, engine routing policy (where a field
+// may exist at all), and the differential suite pinning the forced-on engine
+// bit-identical to the legacy interpreted oracle for AU + MIS + LE across ALL
+// eight schedulers (including burst and permutation, which have no
+// golden-trace coverage) at thread counts {1, 2, 4, 8} — configurations,
+// rounds, activation counts, and listener streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "mis/alg_mis.hpp"
 #include "sched/scheduler.hpp"
 #include "sync/simple_sync_algs.hpp"
-#include "sync/synchronizer.hpp"
 #include "unison/alg_au.hpp"
 #include "util/rng.hpp"
 
@@ -29,6 +30,17 @@ std::vector<std::string> all_scheduler_names() {
   std::vector<std::string> names = sched::async_scheduler_names();
   names.insert(names.begin(), "synchronous");
   return names;
+}
+
+/// `c` as the byte store a field reads (every field has |Q| <= 256).
+std::vector<std::uint8_t> to_bytes(const core::Configuration& c) {
+  return std::vector<std::uint8_t>(c.begin(), c.end());
+}
+
+/// A field over `g` initialized from the (user-order) configuration `c`.
+core::SignalField make_field(const graph::Graph& g, core::StateId state_count,
+                             const core::Configuration& c) {
+  return {g, state_count, to_bytes(c).data()};
 }
 
 /// Multiplicity of q in N+(v) recomputed from scratch — the oracle every
@@ -42,32 +54,26 @@ std::uint32_t brute_count(const graph::Graph& g, const core::Configuration& c,
 
 /// Asserts the field equals a fresh rebuild of `c`: every counter, every
 /// presence bit, and the sense() output (span, mask, has_mask) against an
-/// independent SignalScratch rescan. A dense field's sense words must equal
-/// a byte-store rescan's, word for word, with no bit at or above |Q|.
+/// independent SignalScratch rescan. The sense words must equal a
+/// byte-store rescan's, word for word, with no bit at or above |Q|.
 void expect_field_matches(const core::SignalField& field, const graph::Graph& g,
                           const core::Configuration& c,
                           core::StateId state_count) {
   core::SignalScratch rescan;
   std::vector<core::StateId> scratch;
-  std::vector<std::uint8_t> bytes(c.size() + core::simd::kByteStorePadding);
-  if (field.dense()) {
-    for (std::size_t v = 0; v < c.size(); ++v) {
-      bytes[v] = static_cast<std::uint8_t>(c[v]);
-    }
-  }
+  std::vector<std::uint8_t> bytes = to_bytes(c);
+  bytes.resize(c.size() + core::simd::kByteStorePadding);
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (field.dense()) {
-      const auto words = field.sense(v, scratch).words();
-      ASSERT_EQ(words.size(), (state_count + 63) / 64) << "v=" << v;
-      core::SignalScratch byte_rescan;
-      const auto want = byte_rescan.sense(g, bytes.data(), v).words();
-      for (std::size_t w = 0; w < want.size(); ++w) {
-        ASSERT_EQ(w < words.size() ? words[w] : 0, want[w])
-            << "sense word " << w << " mismatch at v=" << v;
-      }
-      for (core::StateId q = state_count; q < 64 * words.size(); ++q) {
-        ASSERT_EQ((words[q / 64] >> (q % 64)) & 1u, 0u) << "v=" << v;
-      }
+    const auto words = field.sense(v, scratch).words();
+    ASSERT_EQ(words.size(), (state_count + 63) / 64) << "v=" << v;
+    core::SignalScratch byte_rescan;
+    const auto want_words = byte_rescan.sense(g, bytes.data(), v).words();
+    for (std::size_t w = 0; w < want_words.size(); ++w) {
+      ASSERT_EQ(w < words.size() ? words[w] : 0, want_words[w])
+          << "sense word " << w << " mismatch at v=" << v;
+    }
+    for (core::StateId q = state_count; q < 64 * words.size(); ++q) {
+      ASSERT_EQ((words[q / 64] >> (q % 64)) & 1u, 0u) << "v=" << v;
     }
     for (core::StateId q = 0; q < state_count; ++q) {
       ASSERT_EQ(field.count_of(v, q), brute_count(g, c, v, q))
@@ -98,7 +104,7 @@ void fuzz_transitions(core::StateId state_count, int rounds,
   const graph::Graph g = graph::random_connected(24, 0.2, rng);
   core::Configuration c(g.num_nodes());
   for (auto& q : c) q = rng.below(state_count);
-  core::SignalField field(g, state_count, c);
+  core::SignalField field = make_field(g, state_count, c);
   expect_field_matches(field, g, c, state_count);
   for (int i = 0; i < rounds; ++i) {
     const auto v = static_cast<core::NodeId>(rng.below(g.num_nodes()));
@@ -117,7 +123,7 @@ TEST(SignalField, DenseSingleWordDeltaEqualsRebuild) {
 
 TEST(SignalField, DenseMultiWordDeltaEqualsRebuild) {
   // 64 < |Q| <= kDenseStateLimit: multi-word presence bitmap, mask_exact
-  // false, still the flat counter table.
+  // false.
   fuzz_transitions(/*state_count=*/130, /*rounds=*/400, /*seed=*/43);
 }
 
@@ -130,8 +136,7 @@ TEST(SignalField, DenseWordsTrackTransitionsAndChurn) {
   graph::Graph g = graph::random_connected(24, 0.2, rng);
   core::Configuration c(g.num_nodes());
   for (auto& q : c) q = rng.below(kQ);
-  core::SignalField field(g, kQ, c);
-  ASSERT_TRUE(field.dense());
+  core::SignalField field = make_field(g, kQ, c);
   for (int i = 0; i < 600; ++i) {
     const auto u = static_cast<core::NodeId>(rng.below(g.num_nodes()));
     const auto v = static_cast<core::NodeId>(rng.below(g.num_nodes()));
@@ -155,31 +160,35 @@ TEST(SignalField, DenseWordsTrackTransitionsAndChurn) {
   expect_field_matches(field, g, c, kQ);
 }
 
-TEST(SignalField, SparseMultisetDeltaEqualsRebuild) {
-  // |Q| > kDenseStateLimit routes to the compact sorted-multiset fallback.
-  fuzz_transitions(/*state_count=*/1000, /*rounds=*/400, /*seed=*/47);
-}
-
-TEST(SignalField, RepresentationRouting) {
+TEST(SignalField, FitsBoundsTheCounterTable) {
   const graph::Graph g = graph::cycle(8);
   const core::Configuration c(8, 0);
-  EXPECT_TRUE(core::SignalField(g, 64, c).dense());
-  EXPECT_TRUE(core::SignalField(g, 64, c).mask_exact());
-  EXPECT_TRUE(core::SignalField(g, core::SignalField::kDenseStateLimit, c).dense());
+  EXPECT_TRUE(core::SignalField::fits(g, 64));
+  EXPECT_TRUE(make_field(g, 64, c).mask_exact());
+  EXPECT_TRUE(core::SignalField::fits(g, core::SignalField::kDenseStateLimit));
   EXPECT_FALSE(
-      core::SignalField(g, core::SignalField::kDenseStateLimit, c).mask_exact());
+      make_field(g, core::SignalField::kDenseStateLimit, c).mask_exact());
   EXPECT_FALSE(
-      core::SignalField(g, core::SignalField::kDenseStateLimit + 1, c).dense());
+      core::SignalField::fits(g, core::SignalField::kDenseStateLimit + 1));
 
-  // n bounds the table too: a node count that would blow the dense byte
-  // budget routes to the sparse multiset even with an eligible |Q|.
+  // n bounds the table too: a node count that would blow the byte budget
+  // gets no field even with an eligible |Q|.
   constexpr core::StateId kQ = 256;
   const auto big_n = static_cast<core::NodeId>(
       core::SignalField::kDenseMaxCounterBytes / (kQ * sizeof(std::uint16_t)) +
       1);
-  const graph::Graph big(big_n, {{0, 1}});
-  EXPECT_FALSE(
-      core::SignalField(big, kQ, core::Configuration(big_n, 0)).dense());
+  EXPECT_FALSE(core::SignalField::fits(graph::Graph(big_n, {{0, 1}}), kQ));
+  EXPECT_TRUE(core::SignalField::fits(graph::Graph(big_n - 1, {{0, 1}}), kQ));
+
+  // So does the degree: a counter is bounded by deg + 1, which must stay
+  // below the ceiling.
+  const core::NodeId star_n = core::SignalField::kSaturated;
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> spokes;
+  for (core::NodeId v = 1; v < star_n; ++v) spokes.emplace_back(0, v);
+  graph::Graph star(star_n, spokes);  // hub degree kSaturated - 1
+  EXPECT_FALSE(core::SignalField::fits(star, 2));
+  ASSERT_TRUE(star.remove_edge(0, 1));
+  EXPECT_TRUE(core::SignalField::fits(star, 2));
 }
 
 TEST(SignalField, RebuildRecoversFromArbitraryOverwrite) {
@@ -187,9 +196,9 @@ TEST(SignalField, RebuildRecoversFromArbitraryOverwrite) {
   const graph::Graph g = graph::wheel(9);
   core::Configuration c(g.num_nodes());
   for (auto& q : c) q = rng.below(20);
-  core::SignalField field(g, 20, c);
+  core::SignalField field = make_field(g, 20, c);
   for (auto& q : c) q = rng.below(20);  // overwrite behind the field's back
-  field.rebuild(c);
+  field.rebuild(to_bytes(c).data());
   expect_field_matches(field, g, c, 20);
 }
 
@@ -225,7 +234,8 @@ TEST(SignalFieldRouting, AutoEnablesOnlyTheSerialDaemonRegime) {
   // Explicit overrides beat the heuristic.
   EXPECT_FALSE(active("uniform-single",
                       {.signal_field = core::SignalFieldMode::kOff}));
-  EXPECT_TRUE(
+  // kOn forces the field only where the serial asynchronous kernel runs.
+  EXPECT_FALSE(
       active("synchronous", {.signal_field = core::SignalFieldMode::kOn}));
   // The legacy oracle never owns a field, even when forced.
   EXPECT_FALSE(active("uniform-single",
@@ -297,10 +307,69 @@ TEST(SignalFieldRouting, AutoDeclinesSparseNeighborhoods) {
   EXPECT_FALSE(e.signal_field_active());
 }
 
+TEST(SignalFieldRouting, OnBuildsAFieldOnlyWhereTheSerialAsyncKernelRuns) {
+  // The field is a cache of the serial asynchronous kernel: kOn forces it
+  // wherever that kernel runs and nowhere else — never on a full-activation
+  // or sparse-eligible engine, never on a graph its counter table cannot
+  // hold.
+  util::Rng rng(64);
+  const graph::Graph g = graph::random_connected(24, 0.3, rng);
+  const unison::AlgAu au(2);
+  const sync::MinPropagation wide(257);  // |Q| > kDenseStateLimit
+  ASSERT_GT(wide.state_count(), core::SignalField::kDenseStateLimit);
+  struct Cell {
+    std::string scheduler;
+    unsigned threads;
+    const core::Automaton* alg;
+    bool field;
+  };
+  std::vector<Cell> cells = {
+      {"synchronous", 1, &au, false},
+      {"synchronous", 4, &au, false},
+      {"laggard", 4, &au, false},        // sparse-eligible: hint n-1 >= 2
+      {"random-subset", 4, &au, false},  // sparse-eligible: hint n >= 2
+      {"laggard", 1, &au, true},         // serial: no shards, kernel runs
+      {"uniform-single", 1, &wide, false},
+  };
+  // Every single-node daemon keeps its field at any thread count.
+  for (const char* name :
+       {"uniform-single", "rotating-single", "permutation", "burst"}) {
+    cells.push_back({name, 1, &au, true});
+    cells.push_back({name, 4, &au, true});
+  }
+  for (const Cell& cell : cells) {
+    auto sched = sched::make_scheduler(cell.scheduler, g);
+    core::Engine e(g, *cell.alg, *sched,
+                   core::random_configuration(*cell.alg, g.num_nodes(), rng),
+                   7,
+                   {.thread_count = cell.threads,
+                    .sparse_activation_threshold = 2,
+                    .signal_field = core::SignalFieldMode::kOn});
+    EXPECT_EQ(e.signal_field_active(), cell.field)
+        << cell.scheduler << " threads=" << cell.threads
+        << " |Q|=" << cell.alg->state_count();
+  }
+
+  // n * |Q| * 2 B over kDenseMaxCounterBytes: no field either.
+  const sync::MinPropagation full(core::SignalField::kDenseStateLimit);
+  const auto big_n = static_cast<core::NodeId>(
+      core::SignalField::kDenseMaxCounterBytes /
+          (full.state_count() * sizeof(std::uint16_t)) +
+      1);
+  const graph::Graph big = graph::cycle(big_n);
+  auto sched = sched::make_scheduler("uniform-single", big);
+  core::Engine e(big, full, *sched, core::Configuration(big_n, 0), 7,
+                 {.signal_field = core::SignalFieldMode::kOn});
+  EXPECT_FALSE(e.signal_field_active());
+}
+
 // --- differential suite ------------------------------------------------------
 
-/// Field-sensed engine (signal_field forced ON, tiny sparse threshold so the
-/// large-set daemons shard) vs the legacy interpreted oracle, in lockstep.
+/// Forced-on engine (signal_field kOn, tiny sparse threshold so the large-set
+/// daemons shard) vs the legacy interpreted oracle, in lockstep. The field
+/// must exist exactly where the serial asynchronous kernel runs: every
+/// asynchronous daemon on a serial engine, and every single-node daemon
+/// (hint 1, below the threshold) at any thread count.
 void expect_field_matches_oracle(const graph::Graph& g,
                                  const core::Automaton& alg,
                                  const core::Configuration& initial,
@@ -316,7 +385,11 @@ void expect_field_matches_oracle(const graph::Graph& g,
                          .signal_field = core::SignalFieldMode::kOn});
   core::Engine legacy(g, alg, *legacy_sched, initial, seed,
                       core::EngineOptions{.fast_path = false});
-  ASSERT_TRUE(field.signal_field_active());
+  const bool serial_async = !field_sched->full_activation() &&
+                            (threads == 1 ||
+                             field_sched->max_activation_hint() < 2);
+  ASSERT_EQ(field.signal_field_active(), serial_async)
+      << sched_name << " threads=" << threads;
   for (int s = 0; s < steps; ++s) {
     field.step();
     legacy.step();
@@ -373,22 +446,6 @@ TEST(SignalFieldDifferential, AlgLeAllSchedulersAllThreadCounts) {
   }
 }
 
-TEST(SignalFieldDifferential, SparseRepresentationSynchronizerProduct) {
-  // The synchronizer product space (|Q| = 8^2 * 18 = 1152) exercises the
-  // sorted-multiset representation end to end. The synchronizer is not
-  // parallel_safe, so the engine stays serial regardless of thread_count.
-  const sync::MinPropagation inner(8);
-  const sync::Synchronizer alg(inner, 1);
-  ASSERT_GT(alg.state_count(), core::SignalField::kDenseStateLimit);
-  util::Rng rng(79);
-  const graph::Graph g = graph::wheel(9);
-  const core::Configuration c0 =
-      core::random_configuration(alg, g.num_nodes(), rng);
-  for (const char* sched_name : {"uniform-single", "burst", "permutation"}) {
-    expect_field_matches_oracle(g, alg, c0, sched_name, 1, 229, 120);
-  }
-}
-
 TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
   // A field-sensed engine replays its listener from the pre-step
   // configuration into a reused scratch Signal; the observed streams (and
@@ -430,9 +487,10 @@ TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
 }
 
 TEST(SignalFieldDifferential, InjectionsStayBitIdentical) {
-  // inject_state patches a live field in place; inject_configuration marks
-  // it stale for a lazy rebuild. Either way the continued run must track the
-  // oracle exactly.
+  // inject_state patches a live field in place; inject_configuration
+  // rebuilds it at once, so right after the injection the live field equals
+  // a fresh one on the current graph. Either way the continued run must
+  // track the oracle exactly.
   const unison::AlgAu alg(2);
   util::Rng rng(89);
   const graph::Graph g = graph::random_bounded_diameter(20, 2, rng);
@@ -462,36 +520,22 @@ TEST(SignalFieldDifferential, InjectionsStayBitIdentical) {
   lockstep(60);
   field.inject_configuration(mid);
   legacy.inject_configuration(mid);
-  EXPECT_TRUE(field.signal_field_stale());
-  lockstep(1);  // the next field sense rebuilds lazily
-  EXPECT_FALSE(field.signal_field_stale());
-  lockstep(59);
+  const core::SignalField fresh = make_field(g, alg.state_count(), mid);
+  const core::SignalField& live = *field.signal_field();
+  std::vector<core::StateId> scratch_a;
+  std::vector<core::StateId> scratch_b;
+  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (core::StateId q = 0; q < alg.state_count(); ++q) {
+      ASSERT_EQ(live.count_of(v, q), fresh.count_of(v, q))
+          << "v=" << v << " q=" << q;
+    }
+    const auto a = live.sense(v, scratch_a).words();
+    const auto b = fresh.sense(v, scratch_b).words();
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "v=" << v;
+  }
+  lockstep(60);
   ASSERT_EQ(field.rounds_completed(), legacy.rounds_completed());
-}
-
-TEST(SignalFieldDifferential, FullActivationFieldStaysStaleAfterInjection) {
-  // A forced-on field under a synchronous scheduler is patched per step but
-  // never sensed, so an injection leaves it stale forever — the accessor
-  // pair (signal_field(), signal_field_stale()) is how observability
-  // readers learn its counters describe the pre-injection configuration.
-  const unison::AlgAu alg(1);
-  util::Rng rng(91);
-  const graph::Graph g = graph::wheel(8);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("random", alg, g, rng);
-  auto sched = sched::make_scheduler("synchronous", g);
-  core::Engine e(g, alg, *sched, c0, 241,
-                 core::EngineOptions{
-                     .signal_field = core::SignalFieldMode::kOn});
-  ASSERT_TRUE(e.signal_field_active());
-  for (int s = 0; s < 5; ++s) e.step();
-  EXPECT_FALSE(e.signal_field_stale());
-  core::Configuration mid(g.num_nodes());
-  for (auto& q : mid) q = rng.below(alg.state_count());
-  e.inject_configuration(mid);
-  EXPECT_TRUE(e.signal_field_stale());
-  for (int s = 0; s < 5; ++s) e.step();
-  EXPECT_TRUE(e.signal_field_stale());  // nothing here senses -> stays stale
 }
 
 }  // namespace

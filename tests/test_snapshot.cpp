@@ -304,43 +304,51 @@ TEST(SnapshotDifferential, ChurnStraddle) {
   }
 }
 
-TEST(SnapshotDifferential, StaleFieldSurvivesSnapshot) {
-  // inject_configuration invalidates a live field; the snapshot must carry
-  // the stale marker so the restored engine rebuilds lazily exactly like
-  // the original (and a full-activation engine stays stale forever).
-  for (const std::string& sched_name :
-       {std::string("uniform-single"), std::string("synchronous")}) {
-    SCOPED_TRACE(sched_name);
+TEST(SnapshotDifferential, FieldByteOnASynchronousEngineRestores) {
+  // Older writers kept a forced-on field on synchronous engines (and marked
+  // it stale after an injection), so their snapshots can carry
+  // had_field = 1 and stale = 1 for an engine that now builds no field.
+  // Such a snapshot must restore and continue bit-identically.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     util::Rng graph_rng(31);
     graph::Graph g = graph::random_connected(32, 0.2, graph_rng);
     const unison::AlgAu alg(static_cast<int>(graph::diameter(g)));
     core::EngineOptions opts;
+    opts.thread_count = threads;
     opts.signal_field = core::SignalFieldMode::kOn;
 
     util::Rng rng(9);
-    auto sched = sched::make_scheduler(sched_name, g);
+    auto sched = sched::make_scheduler("synchronous", g);
     core::Engine original(g, alg, *sched,
                           core::random_configuration(alg, g.num_nodes(), rng),
                           222, opts);
     for (int t = 0; t < 50; ++t) original.step();
     original.inject_configuration(
         core::random_configuration(alg, g.num_nodes(), rng));
-    ASSERT_TRUE(original.signal_field_active());
-    ASSERT_TRUE(original.signal_field_stale());
+    ASSERT_FALSE(original.signal_field_active());
 
-    const auto bytes = save(original);
+    // The engine state is the payload's last section; its tail is
+    // had_field u8, stale u8, adaptive u8, senses u64, patches u64, and the
+    // CRC-32 follows.
+    auto bytes = save(original);
+    const std::size_t had_field_at = bytes.size() - 4 - (3 + 8 + 8);
+    ASSERT_EQ(bytes[had_field_at], 0);
+    ASSERT_EQ(bytes[had_field_at + 1], 0);
+    bytes[had_field_at] = 1;
+    bytes[had_field_at + 1] = 1;
+    refresh_crc(bytes);
+
     graph::Graph restored_graph = restore_graph(bytes);
-    auto restored_sched = sched::make_scheduler(sched_name, restored_graph);
+    auto restored_sched = sched::make_scheduler("synchronous", restored_graph);
     auto restored = restore(bytes, restored_graph, alg, *restored_sched);
-    EXPECT_TRUE(restored->signal_field_active());
-    EXPECT_TRUE(restored->signal_field_stale());
+    EXPECT_FALSE(restored->signal_field_active());
     expect_engines_equal(original, *restored);
 
     for (int t = 0; t < 120; ++t) {
       original.step();
       restored->step();
     }
-    EXPECT_EQ(original.signal_field_stale(), restored->signal_field_stale());
     expect_engines_equal(original, *restored);
   }
 }

@@ -293,41 +293,6 @@ TEST(OverlapDifferential, AlgLeEverySchedulerEveryThreadCount) {
   }
 }
 
-TEST(OverlapDifferential, SignalFieldMergeStaysBitIdentical) {
-  // Forced-on field under the synchronous kernel: the overlapped pipeline
-  // runs its chained per-step merge tasks; the field's counters must end
-  // exactly where serial inline patching puts them.
-  const unison::AlgAu alg(2);
-  util::Rng rng(37);
-  const graph::Graph g = graph::random_bounded_diameter(40, 2, rng);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("random", alg, g, rng);
-  auto sched_a = sched::make_scheduler("synchronous", g);
-  auto sched_b = sched::make_scheduler("synchronous", g);
-  core::EngineOptions serial_opts = overlapped_options(1);
-  serial_opts.signal_field = core::SignalFieldMode::kOn;
-  core::EngineOptions par_opts = overlapped_options(4);
-  par_opts.signal_field = core::SignalFieldMode::kOn;
-  core::Engine serial(g, alg, *sched_a, c0, 241, serial_opts);
-  core::Engine overlapped(g, alg, *sched_b, c0, 241, par_opts);
-  for (int s = 0; s < 200; ++s) {
-    serial.step();
-    overlapped.step();
-  }
-  ASSERT_EQ(overlapped.config(), serial.config());
-  ASSERT_TRUE(overlapped.signal_field_active());
-  const core::SignalField* fa = overlapped.signal_field();
-  const core::SignalField* fb = serial.signal_field();
-  ASSERT_NE(fa, nullptr);
-  ASSERT_NE(fb, nullptr);
-  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (core::StateId q = 0; q < alg.state_count(); ++q) {
-      ASSERT_EQ(fa->count_of(v, q), fb->count_of(v, q))
-          << "field diverged at node " << v << " state " << int(q);
-    }
-  }
-}
-
 // --- overlap window torture: flush on every observable seam ------------------
 
 TEST(OverlapTorture, InjectionsAndChurnBetweenOverlappedStepsFlush) {
